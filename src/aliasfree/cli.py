@@ -2,8 +2,9 @@
 
 Every subcommand takes --out and a --seed (default 0) and writes only to
 the path(s) derived from --out, so identical invocations produce byte
-identical files. Exit status is 0 on success, 2 for usage errors, and 1
-for runtime failures such as unreadable input files.
+identical files. Exit status is 0 on success, 2 when argparse rejects the
+command line, and 1 when a command rejects a value or an input while
+running (--T 0, a 2-channel sample shape, an unreadable file).
 
 Examples:
 
@@ -30,7 +31,7 @@ import numpy as np
 from .activation import ACTIVATIONS, apply_pointwise, wrapped_activation
 from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                         GaussianDataSpec, ZeroDenoiser, linear_schedule,
-                        sample_classical, sample_rotated, SIGMA_MODES)
+                        sample_rotated, SIGMA_MODES)
 from .filter_design import FilterSpec, design_kernel, kernel_to_text
 from .image_io import read_raster, write_raster
 from .resample import (PADDING_MODES, downsample2x_af, downsample2x_naive,
@@ -169,16 +170,16 @@ def cmd_rotate(args) -> int:
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.shape[0] not in (1, 3):
+        raise ValueError(f"sample writes 1 or 3 channels, got {args.shape[0]}")
     sched = linear_schedule(args.T, args.beta_start, args.beta_end, args.sigma_mode)
     kind, dn_args = args.denoiser
     denoiser = _build_denoiser(kind, dn_args, sched, args.shape)
+    phi = args.phi if args.config == "rotated" else 0.0
+    rng = Rng([args.seed ^ i for i in range(args.n)])
+    xs = sample_rotated(denoiser, sched, args.shape, phi, rng, args.fill)
     ext = "pgm" if args.shape[0] == 1 else "ppm"
-    for i in range(args.n):
-        rng = Rng(args.seed ^ i)
-        if args.config == "classical":
-            x = sample_classical(denoiser, sched, args.shape, rng)
-        else:
-            x = sample_rotated(denoiser, sched, args.shape, args.phi, rng, args.fill)
+    for i, x in enumerate(xs):
         _write_bytes(f"{args.out}-{i:03d}.{ext}", write_raster(x))
     return 0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng
-from .rotation import rotate
+from .rotation import FILL_MODES, rotate
 
 SIGMA_MODES = ("beta", "zero")
 
@@ -174,28 +174,9 @@ def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
     return total / n_draws
 
 
-def _reverse_step(denoiser, sched: NoiseSchedule, x: np.ndarray, t: int,
-                  rng: Rng) -> np.ndarray:
-    i = t - 1
-    eps_hat = denoiser.predict(x, t)
-    x = (x - (1.0 - sched.alpha[i]) / math.sqrt(1.0 - sched.alpha_bar[i]) * eps_hat) \
-        / math.sqrt(sched.alpha[i])
-    if t > 1 and sched.sigma[i] != 0.0:
-        x = x + sched.sigma[i] * rng.normal(x.shape)
-    return x
-
-
 def sample_classical(denoiser, sched: NoiseSchedule, shape, rng: Rng) -> np.ndarray:
-    """Run the reverse chain from pure noise down to a data sample.
-
-    Draw order: the initial x_T, then one fresh noise image per step with
-    t > 1 (whenever sigma_t is nonzero).
-    """
-    shape = tuple(int(d) for d in shape)
-    x = rng.normal(shape)
-    for t in range(sched.T, 0, -1):
-        x = _reverse_step(denoiser, sched, x, t, rng)
-    return x
+    """Reverse chain from pure noise to a data sample: sample_rotated at phi = 0."""
+    return sample_rotated(denoiser, sched, shape, 0.0, rng)
 
 
 def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
@@ -203,13 +184,25 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     """Reverse chain that spreads one rotation across the trajectory.
 
     After every reverse step, including t = 1, the state turns by phi / T,
-    so the total applied rotation is phi. phi = 0 reproduces the classical
-    sampler exactly, draw for draw.
+    so the total applied rotation is phi; phi = 0 skips the turns. Draw
+    order: the initial x_T, then one fresh noise image per step with
+    t > 1 (whenever sigma_t is nonzero). A multi-stream rng runs one
+    trajectory per stream and returns shape (N,) + shape; the denoiser
+    then predicts on that whole batch.
     """
     shape = tuple(int(d) for d in shape)
+    if fill not in FILL_MODES:
+        raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
     step_angle = float(phi) / sched.T
     x = rng.normal(shape)
     for t in range(sched.T, 0, -1):
-        x = _reverse_step(denoiser, sched, x, t, rng)
-        x = rotate(x, step_angle, fill)
+        i = t - 1
+        eps_hat = denoiser.predict(x, t)
+        x = (x - (1.0 - sched.alpha[i]) / math.sqrt(1.0 - sched.alpha_bar[i]) * eps_hat) \
+            / math.sqrt(sched.alpha[i])
+        if t > 1 and sched.sigma[i] != 0.0:
+            x = x + sched.sigma[i] * rng.normal(shape)
+        if step_angle != 0.0:
+            # rotate turns each channel alike, so streams ride in the channel axis
+            x = rotate(x.reshape((-1,) + shape[1:]), step_angle, fill).reshape(x.shape)
     return x

@@ -112,12 +112,27 @@ def upsample2x_naive(img) -> np.ndarray:
     # integer numerators keep the endpoint coordinates exact after division
     u = np.arange(2 * H) * (H - 1) / (2 * H - 1)
     v = np.arange(2 * W) * (W - 1) / (2 * W - 1)
-    r0 = np.floor(u).astype(int)
-    c0 = np.floor(v).astype(int)
-    r1 = np.minimum(r0 + 1, H - 1)
+    return bilinear_gather(arr, u[:, None], v[None, :])
+
+
+def bilinear_gather(arr: np.ndarray, src_r, src_c) -> np.ndarray:
+    """Bilinear samples of every channel at broadcast (src_r, src_c).
+
+    Coordinates are clamped to the grid, so points outside it take the
+    nearest edge value.
+    """
+    C, H, W = arr.shape
+    src_r = np.clip(src_r, 0.0, H - 1)
+    src_c = np.clip(src_c, 0.0, W - 1)
+    r0 = np.floor(src_r).astype(int)
+    c0 = np.floor(src_c).astype(int)
+    fr = src_r - r0
+    fc = src_c - c0
+    # gather by flat index: take along one axis is numpy's fastest gather
+    row0 = r0 * W
+    row1 = np.minimum(r0 + 1, H - 1) * W
     c1 = np.minimum(c0 + 1, W - 1)
-    fr = (u - r0)[None, :, None]
-    fc = (v - c0)[None, None, :]
-    top = (1.0 - fc) * arr[:, r0][:, :, c0] + fc * arr[:, r0][:, :, c1]
-    bottom = (1.0 - fc) * arr[:, r1][:, :, c0] + fc * arr[:, r1][:, :, c1]
+    flat = arr.reshape(C, H * W)
+    top = (1.0 - fc) * flat.take(row0 + c0, axis=1) + fc * flat.take(row0 + c1, axis=1)
+    bottom = (1.0 - fc) * flat.take(row1 + c0, axis=1) + fc * flat.take(row1 + c1, axis=1)
     return (1.0 - fr) * top + fr * bottom

@@ -8,6 +8,8 @@ element order, with the trailing spare discarded when an odd number of
 elements is requested.
 """
 
+import math
+
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -18,10 +20,20 @@ _TWO53 = float(1 << 53)
 
 
 class Rng:
-    """Seeded, reproducible stream of uniforms and standard normals."""
+    """Seeded, reproducible stream of uniforms and standard normals.
 
-    def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _U64_MASK)
+    `seed` is one integer, or a non-empty 1-D sequence of them for one
+    stream per seed: every draw then gains a leading stream axis whose
+    row s equals the same draw from Rng(seed_s).
+    """
+
+    def __init__(self, seed):
+        self._streams = np.shape(seed)
+        if len(self._streams) > 1 or 0 in self._streams:
+            raise ValueError(f"seed must be an integer or a non-empty 1-D sequence, "
+                             f"got shape {self._streams}")
+        seeds = [int(s) & _U64_MASK for s in (seed if self._streams else [seed])]
+        self._seed = np.array(seeds, dtype=np.uint64).reshape(self._streams + (1,))
         self._count = 0
 
     def _raw(self, n: int) -> np.ndarray:
@@ -37,15 +49,17 @@ class Rng:
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws in [0, 1) with 53-bit resolution."""
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = int(math.prod(shape))
         u = (self._raw(n) >> np.uint64(11)).astype(float) / _TWO53
-        return u.reshape(shape) if shape else float(u[0])
+        return u.reshape(self._streams + shape) if shape or self._streams else float(u[0])
 
     def randint(self, high: int) -> int:
         """Uniform integer in {1, ..., high} from one uniform draw."""
         high = int(high)
         if high < 1:
             raise ValueError(f"high must be >= 1, got {high}")
+        if self._streams:
+            raise ValueError("randint draws one integer; it needs a single-stream Rng")
         u = (int(self._raw(1)[0]) >> 11) / _TWO53
         return 1 + min(int(u * high), high - 1)
 
@@ -56,16 +70,16 @@ class Rng:
         the log radius, the second to [0, 1) for the angle.
         """
         shape = tuple(int(d) for d in np.atleast_1d(shape))
-        n = int(np.prod(shape, dtype=np.int64))
+        n = math.prod(shape)
         if n < 1:
             raise ValueError(f"shape must hold at least one element, got {shape}")
         pairs = (n + 1) // 2
-        raw = self._raw(2 * pairs)
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(float) + 1.0) / _TWO53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(float) / _TWO53
+        top53 = (self._raw(2 * pairs) >> np.uint64(11)).astype(float)
+        u1 = (top53[..., 0::2] + 1.0) / _TWO53
+        u2 = top53[..., 1::2] / _TWO53
         radius = np.sqrt(-2.0 * np.log(u1))
         angle = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n].reshape(shape)
+        out = np.empty(self._streams + (2 * pairs,))
+        out[..., 0::2] = radius * np.cos(angle)
+        out[..., 1::2] = radius * np.sin(angle)
+        return out[..., :n].reshape(self._streams + shape)

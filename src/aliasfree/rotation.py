@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .resample import check_image
+from .resample import bilinear_gather, check_image
 
 FILL_MODES = ("replicate", "zero")
 
@@ -19,18 +19,12 @@ FILL_MODES = ("replicate", "zero")
 _SNAP_EPS = 1e-12
 
 
-def _snapped_cos_sin(phi: float):
-    c = math.cos(phi)
-    s = math.sin(phi)
-    if abs(c) < _SNAP_EPS:
-        c = 0.0
-    elif abs(abs(c) - 1.0) < _SNAP_EPS:
-        c = math.copysign(1.0, c)
-    if abs(s) < _SNAP_EPS:
-        s = 0.0
-    elif abs(abs(s) - 1.0) < _SNAP_EPS:
-        s = math.copysign(1.0, s)
-    return c, s
+def _snap(v: float) -> float:
+    if abs(v) < _SNAP_EPS:
+        return 0.0
+    if abs(abs(v) - 1.0) < _SNAP_EPS:
+        return math.copysign(1.0, v)
+    return v
 
 
 def rotate(img, phi, fill: str = "replicate") -> np.ndarray:
@@ -53,7 +47,7 @@ def rotate(img, phi, fill: str = "replicate") -> np.ndarray:
     _, H, W = arr.shape
     cy = (H - 1) / 2.0
     cx = (W - 1) / 2.0
-    c, s = _snapped_cos_sin(phi)
+    c, s = _snap(math.cos(phi)), _snap(math.sin(phi))
 
     dr = np.arange(H)[:, None] - cy
     dc = np.arange(W)[None, :] - cx
@@ -61,23 +55,9 @@ def rotate(img, phi, fill: str = "replicate") -> np.ndarray:
     src_r = cy + c * dr + s * dc
     src_c = cx - s * dr + c * dc
 
+    out = bilinear_gather(arr, src_r, src_c)
     if fill == "zero":
         inside = ((src_r >= 0.0) & (src_r <= H - 1)
                   & (src_c >= 0.0) & (src_c <= W - 1))
-    src_r = np.clip(src_r, 0.0, H - 1)
-    src_c = np.clip(src_c, 0.0, W - 1)
-
-    r0 = np.floor(src_r).astype(int)
-    c0 = np.floor(src_c).astype(int)
-    r1 = np.minimum(r0 + 1, H - 1)
-    c1 = np.minimum(c0 + 1, W - 1)
-    fr = src_r - r0
-    fc = src_c - c0
-
-    top = (1.0 - fc) * arr[:, r0, c0] + fc * arr[:, r0, c1]
-    bottom = (1.0 - fc) * arr[:, r1, c0] + fc * arr[:, r1, c1]
-    out = (1.0 - fr) * top + fr * bottom
-
-    if fill == "zero":
         out = np.where(inside[None, :, :], out, 0.0)
     return out

@@ -118,14 +118,10 @@ def band_limited_corpus(count: int = 8, size: int = 64, seed: int = 2024) -> np.
     keep = np.abs(ks) <= kmax
     mask = keep[:, None] & keep[None, :]
     mask[0, 0] = False
-    images = np.empty((count, 1, size, size))
-    for i in range(count):
-        rng = Rng(seed ^ i)
-        noise = rng.normal((size, size))
-        spec = np.fft.fft2(noise) * mask
-        img = np.fft.ifft2(spec).real
-        images[i, 0] = img * (0.8 / np.max(np.abs(img)))
-    return images
+    noise = Rng([seed ^ i for i in range(count)]).normal((size, size))
+    imgs = np.fft.ifft2(np.fft.fft2(noise) * mask).real
+    peaks = np.max(np.abs(imgs), axis=(1, 2), keepdims=True)
+    return (imgs * (0.8 / peaks))[:, None]
 
 
 @dataclass(frozen=True)

@@ -243,3 +243,32 @@ def test_runtime_error_message_on_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error" in captured.err
+
+
+def _sampler_must_not_run(*args, **kwargs):
+    raise AssertionError("the sampler ran on a command it should have rejected")
+
+
+def test_sample_rejects_channel_count_before_sampling(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)
+    code = run("sample", "--config", "rotated", "--T", "5", "--shape", "2x8x8",
+               "--denoiser", "zero", "--out", str(tmp_path / "s"))
+    assert code == 1
+    assert "channels" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    # 2: argparse rejects the command line before any command runs
+    (["sample", "--config", "classical", "--shape", "2x8"], 2),
+    (["analyze", "--report", "alias", "--N", "x"], 2),
+    # 1: the command rejects a value or an input while running
+    (["sample", "--config", "classical", "--T", "0"], 1),
+    (["sample", "--config", "classical", "--n", "0"], 1),
+    (["sample", "--config", "rotated", "--shape", "2x8x8"], 1),
+    (["analyze", "--report", "alias", "--N", "33"], 1),
+])
+def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
+    monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)
+    assert run(*argv, "--out", str(tmp_path / "out")) == code
+    assert list(tmp_path.iterdir()) == []

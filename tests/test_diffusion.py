@@ -277,3 +277,18 @@ def test_rotated_sampler_distributes_the_angle():
     # scaling commutes with rotation exactly, interpolation does not; the
     # two orders agree to rounding because each step scales uniformly
     assert np.max(np.abs(out - manual)) <= 1e-9 * float(np.max(np.abs(manual)))
+
+
+def test_samplers_batch_streams_bitwise():
+    s = linear_schedule(12)
+    data = GaussianDataSpec(mean=0.3, stddev=0.05, shape=(3, 8, 8))
+    den = AnalyticGaussianDenoiser(data, s)
+    seeds = [4, 5, 6]
+    for phi in (0.0, 0.7):
+        got = sample_rotated(den, s, (3, 8, 8), phi, Rng(seeds), "zero")
+        want = np.stack([sample_rotated(den, s, (3, 8, 8), phi, Rng(k), "zero")
+                         for k in seeds])
+        assert got.shape == (3, 3, 8, 8)
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(sample_classical(den, s, (3, 8, 8), Rng(seeds)),
+                          sample_rotated(den, s, (3, 8, 8), 0.0, Rng(seeds)))

@@ -119,3 +119,27 @@ def test_validation():
         Rng(1).normal((0,))
     with pytest.raises(ValueError):
         Rng(1).uniform((0,))
+
+
+def test_multi_stream_rows_equal_single_streams():
+    seeds = [3, 2**64 - 1, -7]
+    multi = Rng(seeds)
+    singles = [Rng(s) for s in seeds]
+    draws = [("uniform", (4, 3)), ("normal", (5,)), ("normal", (2, 2)),
+             ("uniform", ()), ("normal", (1, 3, 3))]
+    for kind, shape in draws:
+        got = getattr(multi, kind)(shape)
+        want = np.stack([np.asarray(getattr(r, kind)(shape)) for r in singles])
+        assert got.shape == (3,) + shape
+        assert got.tobytes() == want.tobytes()
+        assert all(multi._count == r._count for r in singles)
+
+
+def test_multi_stream_randint_and_seed_validation():
+    with pytest.raises(ValueError):
+        Rng([1, 2]).randint(6)
+    for bad in ([], [[1, 2]], np.zeros((2, 2), dtype=int)):
+        with pytest.raises(ValueError):
+            Rng(bad)
+    # a one-element sequence is one stream with a leading axis of 1
+    assert np.array_equal(Rng([9]).normal((4,))[0], Rng(9).normal((4,)))

@@ -147,6 +147,19 @@ def test_corpus_images_differ():
     assert not np.array_equal(a[1], a[2])
 
 
+def test_corpus_matches_per_image_construction():
+    count, size, seed = 3, 32, 11
+    kmax = math.ceil(0.2 * size) - 1
+    ks = np.fft.fftfreq(size, d=1.0 / size).astype(int)
+    keep = np.abs(ks) <= kmax
+    mask = keep[:, None] & keep[None, :]
+    mask[0, 0] = False
+    got = band_limited_corpus(count, size, seed)
+    for i in range(count):
+        img = np.fft.ifft2(np.fft.fft2(Rng(seed ^ i).normal((size, size))) * mask).real
+        assert got[i, 0].tobytes() == (img * (0.8 / np.max(np.abs(img)))).tobytes()
+
+
 def test_corpus_validation():
     with pytest.raises(ValueError):
         band_limited_corpus(0, 64)
