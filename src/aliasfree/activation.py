@@ -17,7 +17,6 @@ from .resample import check_image, downsample2x_af, upsample2x_af
 
 ACTIVATIONS = ("relu", "gelu")
 
-_erf = np.vectorize(math.erf, otypes=[float])
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -28,7 +27,8 @@ def relu(values) -> np.ndarray:
 def gelu(values) -> np.ndarray:
     """Exact Gaussian-CDF form: v * Phi(v)."""
     v = np.asarray(values, dtype=float)
-    return v * 0.5 * (1.0 + _erf(v * _INV_SQRT2))
+    erf = np.fromiter(map(math.erf, (v * _INV_SQRT2).ravel()), float, v.size)
+    return v * 0.5 * (1.0 + erf.reshape(v.shape))
 
 
 def apply_pointwise(img, act: str) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Command line front end.
 
-Every subcommand takes --out and a --seed (default 0) and writes only to
-the path(s) derived from --out, so identical invocations produce byte
-identical files. Exit status is 0 on success, 2 when argparse rejects the
-command line, and 1 when a command rejects a value or an input while
-running (--T 0, a 2-channel sample shape, an unreadable file).
+Every subcommand takes --out and writes only to the path(s) derived from
+it, so identical invocations produce byte identical files. Only sample
+takes --seed (default 0); analyze always measures its built-in seed-2024
+corpus. Exit status is 0 on success, 2 when argparse rejects the command
+line (--seed on any other subcommand, a non-finite --denoiser value), and
+1 when a command rejects a value or an input while running (--T 0, a
+2-channel sample shape, an unreadable file).
 
 Examples:
 
@@ -19,7 +21,7 @@ Examples:
       --phi 0.448798950512827 --out equiv.csv
 
 sample writes one raster per trajectory ({out}-000.pgm, {out}-001.pgm,
-and so on), each drawn from its own stream seeded with seed XOR index.
+and so on); trajectory i draws from its own stream seeded with seed XOR i.
 """
 
 import argparse
@@ -32,7 +34,7 @@ from .activation import ACTIVATIONS, apply_pointwise, wrapped_activation
 from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                         GaussianDataSpec, ZeroDenoiser, linear_schedule,
                         sample_rotated, SIGMA_MODES)
-from .filter_design import FilterSpec, design_kernel, kernel_to_text
+from .filter_design import HALF_PI, FilterSpec, design_kernel, kernel_to_text
 from .image_io import read_raster, write_raster
 from .resample import (PADDING_MODES, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
@@ -40,15 +42,13 @@ from .rng import Rng
 from .rotation import FILL_MODES, rotate
 from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
                        band_limited_corpus, config_name, equivariance_error,
-                       freq_response, spectrum_freqs)
-
-RESAMPLE_CUTOFF = math.pi / 2.0
+                       freq_response)
 
 
 def parse_angle(text: str) -> float:
     """Float radians, with the convenience token half-pi."""
     if text.strip() == "half-pi":
-        return RESAMPLE_CUTOFF
+        return HALF_PI
     return float(text)
 
 
@@ -71,7 +71,10 @@ def parse_denoiser_spec(text: str):
             key, sep, value = item.partition("=")
             if not sep or not key:
                 raise ValueError(f"bad denoiser argument {item!r}")
-            args[key.strip()] = float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"denoiser argument {item!r} is not finite")
+            args[key.strip()] = number
     if kind == "zero":
         expected = set()
     elif kind == "constant":
@@ -201,10 +204,7 @@ def cmd_analyze(args) -> int:
                          repr(alias_energy(apply_pointwise(img, "relu"))),
                          repr(alias_energy(wrapped_activation(img, "relu", kernel)))))
     else:
-        if args.pipeline == "A":
-            config = PipelineConfig("A")
-        else:
-            config = PipelineConfig(args.pipeline, spec)
+        config = PipelineConfig(args.pipeline, None if args.pipeline == "A" else spec)
         rows = [("image", "config", "phi", "error")]
         for i, img in enumerate(corpus):
             err = equivariance_error(config, img, args.phi)
@@ -221,7 +221,7 @@ def _add_filter_flags(parser, with_size=True):
     if with_size:
         parser.add_argument("--size", type=int, default=3,
                             help="odd kernel size (default 3)")
-        parser.add_argument("--cutoff", type=parse_angle, default=RESAMPLE_CUTOFF,
+        parser.add_argument("--cutoff", type=parse_angle, default=HALF_PI,
                             help="angular cutoff in radians, or half-pi (default)")
 
 
@@ -237,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="stream seed for anything random (default 0)")
     common.add_argument("--out", required=True,
                         help="output path, or path prefix for sample")
 
@@ -293,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero | constant:v=V | gaussian:mu=M,sigma0=S "
                         "(default gaussian:mu=0,sigma0=1)")
     p.add_argument("--n", type=int, default=1, help="number of trajectories")
+    p.add_argument("--seed", type=int, default=0,
+                   help="trajectory i uses the stream seeded seed XOR i (default 0)")
     p.add_argument("--phi", type=parse_angle, default=0.0,
                    help="total rotation for the rotated config")
     p.add_argument("--fill", choices=FILL_MODES, default="replicate")

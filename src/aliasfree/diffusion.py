@@ -145,10 +145,8 @@ class AnalyticGaussianDenoiser:
 
     def predict(self, x_t, t):
         x_t = np.asarray(x_t, dtype=float)
-        t = _check_step(self.sched, t)
-        ab = self.sched.alpha_bar[t - 1]
-        centered = x_t - math.sqrt(ab) * self.data.mean
-        return self.coefficient(t) * centered
+        slope = self.coefficient(t)  # validates t before the lookup below
+        return slope * (x_t - math.sqrt(self.sched.alpha_bar[int(t) - 1]) * self.data.mean)
 
 
 def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,

@@ -60,8 +60,7 @@ class Rng:
             raise ValueError(f"high must be >= 1, got {high}")
         if self._streams:
             raise ValueError("randint draws one integer; it needs a single-stream Rng")
-        u = (int(self._raw(1)[0]) >> 11) / _TWO53
-        return 1 + min(int(u * high), high - 1)
+        return 1 + min(int(self.uniform() * high), high - 1)
 
     def normal(self, shape) -> np.ndarray:
         """Standard normal draws via Box-Muller.

@@ -175,18 +175,14 @@ def parse_config_name(name: str) -> PipelineConfig:
 def apply_pipeline(config: PipelineConfig, img, act: str = "relu",
                    padding: str = "reflect") -> np.ndarray:
     """Downsample, apply the nonlinearity stage, upsample back."""
-    arr = check_image(img)
-    if config.kind == "A":
-        return upsample2x_naive(apply_pointwise(downsample2x_naive(arr), act))
-    kernel = design_kernel(config.filter_spec)
-    if config.kind == "B":
-        low = apply_pointwise(downsample2x_af(arr, kernel, padding), act)
-        return upsample2x_af(low, kernel, padding)
-    if config.kind == "C":
-        low = wrapped_activation(downsample2x_naive(arr), act, kernel, padding)
-        return upsample2x_naive(low)
-    low = wrapped_activation(downsample2x_af(arr, kernel, padding), act, kernel, padding)
-    return upsample2x_af(low, kernel, padding)
+    af = config.kind in ("B", "D")
+    kernel = None if config.filter_spec is None else design_kernel(config.filter_spec)
+    low = downsample2x_af(img, kernel, padding) if af else downsample2x_naive(img)
+    if config.kind in ("C", "D"):
+        low = wrapped_activation(low, act, kernel, padding)
+    else:
+        low = apply_pointwise(low, act)
+    return upsample2x_af(low, kernel, padding) if af else upsample2x_naive(low)
 
 
 def equivariance_error(config: PipelineConfig, img, phi: float,

@@ -45,7 +45,8 @@ def test_parse_denoiser_spec():
     kind, args = parse_denoiser_spec("gaussian:mu=0.3,sigma0=0.05")
     assert kind == "gaussian" and args == {"mu": 0.3, "sigma0": 0.05}
     for bad in ("unknown", "constant", "gaussian:mu=0.3",
-                "constant:v=0.5,w=2", "gaussian:mu=x,sigma0=1", "zero:v=1"):
+                "constant:v=0.5,w=2", "gaussian:mu=x,sigma0=1", "zero:v=1",
+                "constant:v=nan", "gaussian:mu=inf,sigma0=1"):
         with pytest.raises(ValueError):
             parse_denoiser_spec(bad)
 
@@ -267,6 +268,14 @@ def test_sample_rejects_channel_count_before_sampling(tmp_path, monkeypatch, cap
     (["sample", "--config", "classical", "--n", "0"], 1),
     (["sample", "--config", "rotated", "--shape", "2x8x8"], 1),
     (["analyze", "--report", "alias", "--N", "33"], 1),
+    # 2: a non-finite denoiser value, and --seed anywhere but sample
+    (["sample", "--config", "classical", "--denoiser", "constant:v=nan"], 2),
+    (["kernel", "--seed", "1"], 2),
+    (["freq", "--seed", "1"], 2),
+    (["resample", "--in", "in.pgm", "--mode", "af", "--dir", "down", "--seed", "1"], 2),
+    (["activate", "--in", "in.pgm", "--act", "relu", "--seed", "1"], 2),
+    (["rotate", "--in", "in.pgm", "--phi", "0.1", "--seed", "1"], 2),
+    (["analyze", "--report", "alias", "--seed", "1"], 2),
 ])
 def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)
