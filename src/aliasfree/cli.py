@@ -1,7 +1,9 @@
 """Command line front end.
 
 Every subcommand takes --out and writes only to the path(s) derived from
-it, so identical invocations produce byte identical files. Only sample
+it, so identical invocations produce byte identical files. Each command
+returns its outputs as {path: bytes}, and main writes them only once the
+command has succeeded, so a command that fails writes no file. Only sample
 takes --seed (default 0); analyze always measures its built-in seed-2024
 corpus. Exit status is 0 on success, 2 when argparse rejects the command
 line (--seed on any other subcommand, a non-finite --denoiser value), and
@@ -103,17 +105,9 @@ def _read_image(path: str) -> np.ndarray:
         return read_raster(handle.read())
 
 
-def _write_bytes(path: str, payload: bytes) -> None:
-    with open(path, "wb") as handle:
-        handle.write(payload)
-
-
-def _write_text(path: str, text: str) -> None:
-    _write_bytes(path, text.encode("ascii"))
-
-
-def _csv(rows) -> str:
-    return "\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n"
+def _csv(rows) -> bytes:
+    text = "\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n"
+    return text.encode("ascii")
 
 
 def _filter_spec(args) -> FilterSpec:
@@ -121,13 +115,12 @@ def _filter_spec(args) -> FilterSpec:
                       cutoff=args.cutoff, kernel_size=args.size)
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> dict:
     kernel = design_kernel(_filter_spec(args))
-    _write_text(args.out, kernel_to_text(kernel))
-    return 0
+    return {args.out: kernel_to_text(kernel).encode("ascii")}
 
 
-def cmd_freq(args) -> int:
+def cmd_freq(args) -> dict:
     kernel = design_kernel(_filter_spec(args))
     mag = freq_response(kernel, args.N)
     ks = np.arange(args.N) - args.N // 2
@@ -135,11 +128,10 @@ def cmd_freq(args) -> int:
     for i, k1 in enumerate(ks):
         for j, k2 in enumerate(ks):
             rows.append((k1, k2, repr(float(mag[i, j]))))
-    _write_text(args.out, _csv(rows))
-    return 0
+    return {args.out: _csv(rows)}
 
 
-def cmd_resample(args) -> int:
+def cmd_resample(args) -> dict:
     img = _read_image(args.input)
     if args.mode == "naive":
         out = downsample2x_naive(img) if args.dir == "down" else upsample2x_naive(img)
@@ -149,28 +141,25 @@ def cmd_resample(args) -> int:
             out = downsample2x_af(img, kernel, args.padding)
         else:
             out = upsample2x_af(img, kernel, args.padding)
-    _write_bytes(args.out, write_raster(out))
-    return 0
+    return {args.out: write_raster(out)}
 
 
-def cmd_activate(args) -> int:
+def cmd_activate(args) -> dict:
     img = _read_image(args.input)
     if args.wrapped:
         kernel = design_kernel(_filter_spec(args))
         out = wrapped_activation(img, args.act, kernel, args.padding)
     else:
         out = apply_pointwise(img, args.act)
-    _write_bytes(args.out, write_raster(out))
-    return 0
+    return {args.out: write_raster(out)}
 
 
-def cmd_rotate(args) -> int:
+def cmd_rotate(args) -> dict:
     img = _read_image(args.input)
-    _write_bytes(args.out, write_raster(rotate(img, args.phi, args.fill)))
-    return 0
+    return {args.out: write_raster(rotate(img, args.phi, args.fill))}
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> dict:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.shape[0] not in (1, 3):
@@ -182,12 +171,10 @@ def cmd_sample(args) -> int:
     rng = Rng([args.seed ^ i for i in range(args.n)])
     xs = sample_rotated(denoiser, sched, args.shape, phi, rng, args.fill)
     ext = "pgm" if args.shape[0] == 1 else "ppm"
-    for i, x in enumerate(xs):
-        _write_bytes(f"{args.out}-{i:03d}.{ext}", write_raster(x))
-    return 0
+    return {f"{args.out}-{i:03d}.{ext}": write_raster(x) for i, x in enumerate(xs)}
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     corpus = band_limited_corpus(args.count, args.N)
     spec = FilterSpec(kaiser_beta=args.beta, normalized=args.normalized)
     if args.report == "alias":
@@ -209,8 +196,7 @@ def cmd_analyze(args) -> int:
         for i, img in enumerate(corpus):
             err = equivariance_error(config, img, args.phi)
             rows.append((i, config_name(config), repr(args.phi), repr(err)))
-    _write_text(args.out, _csv(rows))
-    return 0
+    return {args.out: _csv(rows)}
 
 
 def _add_filter_flags(parser, with_size=True):
@@ -236,49 +222,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Alias-free resampling and diffusion sampling tools.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", required=True,
-                        help="output path, or path prefix for sample")
+    def command(name, handler, help_text):
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--out", required=True,
+                         help="output path, or path prefix for sample")
+        sub.set_defaults(handler=handler)
+        return sub
 
-    p = subs.add_parser("kernel", parents=[common],
-                        help="write kernel taps as text")
+    p = command("kernel", cmd_kernel, "write kernel taps as text")
     _add_filter_flags(p)
-    p.set_defaults(handler=cmd_kernel)
 
-    p = subs.add_parser("freq", parents=[common],
-                        help="write a kernel magnitude response as CSV")
+    p = command("freq", cmd_freq, "write a kernel magnitude response as CSV")
     _add_filter_flags(p)
     p.add_argument("--N", type=int, default=64, help="DFT grid size (default 64)")
-    p.set_defaults(handler=cmd_freq)
 
-    p = subs.add_parser("resample", parents=[common],
-                        help="2x resample a raster image")
+    p = command("resample", cmd_resample, "2x resample a raster image")
     p.add_argument("--in", dest="input", required=True, help="input PGM/PPM path")
     p.add_argument("--mode", choices=("naive", "af"), required=True)
     p.add_argument("--dir", choices=("up", "down"), required=True)
     _add_filter_flags(p)
     _add_padding_flag(p)
-    p.set_defaults(handler=cmd_resample)
 
-    p = subs.add_parser("activate", parents=[common],
-                        help="apply a nonlinearity to a raster image")
+    p = command("activate", cmd_activate, "apply a nonlinearity to a raster image")
     p.add_argument("--in", dest="input", required=True, help="input PGM/PPM path")
     p.add_argument("--act", choices=ACTIVATIONS, required=True)
     p.add_argument("--wrapped", action="store_true",
                    help="evaluate at doubled resolution between alias-free resamplers")
     _add_filter_flags(p)
     _add_padding_flag(p)
-    p.set_defaults(handler=cmd_activate)
 
-    p = subs.add_parser("rotate", parents=[common], help="rotate a raster image")
+    p = command("rotate", cmd_rotate, "rotate a raster image")
     p.add_argument("--in", dest="input", required=True, help="input PGM/PPM path")
     p.add_argument("--phi", type=parse_angle, required=True,
                    help="angle in radians, counterclockwise positive")
     p.add_argument("--fill", choices=FILL_MODES, default="replicate")
-    p.set_defaults(handler=cmd_rotate)
 
-    p = subs.add_parser("sample", parents=[common],
-                        help="draw reverse-diffusion samples as rasters")
+    p = command("sample", cmd_sample, "draw reverse-diffusion samples as rasters")
     p.add_argument("--config", choices=("classical", "rotated"), required=True)
     p.add_argument("--T", type=int, default=1000, help="number of steps (default 1000)")
     p.add_argument("--beta-start", type=float, default=1e-4)
@@ -296,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=parse_angle, default=0.0,
                    help="total rotation for the rotated config")
     p.add_argument("--fill", choices=FILL_MODES, default="replicate")
-    p.set_defaults(handler=cmd_sample)
 
-    p = subs.add_parser("analyze", parents=[common],
-                        help="write corpus measurements as CSV")
+    p = command("analyze", cmd_analyze, "write corpus measurements as CSV")
     p.add_argument("--report", choices=("alias", "equivariance"), required=True)
     p.add_argument("--pipeline", choices=PIPELINE_KINDS, default="D",
                    help="pipeline kind for the equivariance report")
@@ -308,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="test rotation for the equivariance report")
     p.add_argument("--count", type=int, default=8, help="corpus image count")
     p.add_argument("--N", type=int, default=64, help="corpus image size")
-    p.set_defaults(handler=cmd_analyze)
 
     return parser
 
@@ -320,10 +296,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        for path, payload in args.handler(args).items():
+            with open(path, "wb") as handle:
+                handle.write(payload)
     except (ValueError, OSError) as exc:
         print(f"aliasfree: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -66,6 +66,8 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02,
 
 
 def _check_step(sched: NoiseSchedule, t: int) -> int:
+    if not float(t).is_integer():
+        raise ValueError(f"step t must be an integer, got {t}")
     t = int(t)
     if not 1 <= t <= sched.T:
         raise ValueError(f"step t must lie in 1..{sched.T}, got {t}")

@@ -44,16 +44,13 @@ def _require_even(arr):
 def _padded(arr, radius, padding):
     if padding not in PADDING_MODES:
         raise ValueError(f"unknown padding mode {padding!r}")
-    if radius == 0:
-        return arr
-    if padding == "reflect":
-        _, H, W = arr.shape
-        if 2 * radius + 1 > 2 * min(H, W) + 1:
-            raise ValueError(
-                f"kernel size {2 * radius + 1} exceeds reflect-padding limit "
-                f"{2 * min(H, W) + 1} for a {H} x {W} image")
-        return np.pad(arr, ((0, 0), (radius, radius), (radius, radius)), mode="reflect")
-    return np.pad(arr, ((0, 0), (radius, radius), (radius, radius)), mode="constant")
+    _, H, W = arr.shape
+    if padding == "reflect" and radius > min(H, W):
+        raise ValueError(
+            f"kernel size {2 * radius + 1} exceeds reflect-padding limit "
+            f"{2 * min(H, W) + 1} for a {H} x {W} image")
+    return np.pad(arr, ((0, 0), (radius, radius), (radius, radius)),
+                  mode="reflect" if padding == "reflect" else "constant")
 
 
 def convolve2d(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:

@@ -5,13 +5,13 @@ frequency responses, the fraction of signal energy above a cutoff, a
 deterministic band-limited image corpus, and the four processing
 pipelines whose rotation equivariance gets compared.
 
-Pipelines pair one downsampler, one nonlinearity stage, and one
-upsampler at matched resolution:
+Pipelines pair one downsampler, one ReLU stage, and one upsampler at
+matched resolution; every filtering step pads by reflection:
 
-    A: naive down, plain nonlinearity, naive up
-    B: alias-free down, plain nonlinearity, alias-free up
-    C: naive down, wrapped nonlinearity, naive up
-    D: alias-free down, wrapped nonlinearity, alias-free up
+    A: naive down, plain ReLU, naive up
+    B: alias-free down, plain ReLU, alias-free up
+    C: naive down, wrapped ReLU, naive up
+    D: alias-free down, wrapped ReLU, alias-free up
 
 Names like "D-1N" append the filter beta and an N for a normalized
 kernel; config A carries no filter at all.
@@ -172,31 +172,29 @@ def parse_config_name(name: str) -> PipelineConfig:
     return PipelineConfig(parts[0], FilterSpec(kaiser_beta=beta, normalized=normalized))
 
 
-def apply_pipeline(config: PipelineConfig, img, act: str = "relu",
-                   padding: str = "reflect") -> np.ndarray:
-    """Downsample, apply the nonlinearity stage, upsample back."""
+def apply_pipeline(config: PipelineConfig, img) -> np.ndarray:
+    """Downsample, apply ReLU (wrapped for C and D), upsample back; reflect padding."""
     af = config.kind in ("B", "D")
     kernel = None if config.filter_spec is None else design_kernel(config.filter_spec)
-    low = downsample2x_af(img, kernel, padding) if af else downsample2x_naive(img)
+    low = downsample2x_af(img, kernel) if af else downsample2x_naive(img)
     if config.kind in ("C", "D"):
-        low = wrapped_activation(low, act, kernel, padding)
+        low = wrapped_activation(low, "relu", kernel)
     else:
-        low = apply_pointwise(low, act)
-    return upsample2x_af(low, kernel, padding) if af else upsample2x_naive(low)
+        low = apply_pointwise(low, "relu")
+    return upsample2x_af(low, kernel) if af else upsample2x_naive(low)
 
 
-def equivariance_error(config: PipelineConfig, img, phi: float,
-                       act: str = "relu", padding: str = "reflect") -> float:
+def equivariance_error(config: PipelineConfig, img, phi: float) -> float:
     """Relative L2 gap between rotate-then-process and process-then-rotate.
 
-    Rotations here use zero fill: replicate fill floods the turned-in
-    corners with flat extrapolated content, and the comparison then
-    mostly scores how a pipeline treats synthetic borders rather than
-    the image itself. With zero fill both operand orders see the same
-    vacated corners.
+    The pipeline is apply_pipeline: ReLU with reflect padding. Rotations
+    here use zero fill: replicate fill floods the turned-in corners with
+    flat extrapolated content, and the comparison then mostly scores how
+    a pipeline treats synthetic borders rather than the image itself.
+    With zero fill both operand orders see the same vacated corners.
     """
-    rotated_first = apply_pipeline(config, rotate(img, phi, fill="zero"), act, padding)
-    rotated_last = rotate(apply_pipeline(config, img, act, padding), phi, fill="zero")
+    rotated_first = apply_pipeline(config, rotate(img, phi, fill="zero"))
+    rotated_last = rotate(apply_pipeline(config, img), phi, fill="zero")
     denom = float(np.linalg.norm(rotated_last))
     gap = float(np.linalg.norm(rotated_first - rotated_last))
     if denom == 0.0:

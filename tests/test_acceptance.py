@@ -148,9 +148,12 @@ def test_criterion_05_equivariance_ordering(capsys):
         parts.append(f"{label}: {'ok' if holds else 'VIOLATED'} "
                      f"worst margin {min(margins):+.4f}")
     elapsed = time.perf_counter() - t0
-    # pi/2 cannot hold: pipeline A is built purely from 2x2 block and
-    # pointwise operators, which commute exactly with quarter turns, so
-    # its error there is rounding noise while D pays interpolation cost
+    # pi/2 cannot hold: a quarter turn is an exact grid permutation, and
+    # pipeline A is built purely from 2x2 block and pointwise operators,
+    # which commute exactly with it, so A's error there is rounding noise;
+    # D keeps even-index samples when it decimates, and a quarter turn of
+    # an even-sized grid maps even indices to odd ones, so D lands half a
+    # pixel from its rotated self
     report(capsys, 5, "D-1N more rotation-equivariant than A", ok,
            "; ".join(parts) + f", {elapsed:.2f}s")
 

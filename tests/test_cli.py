@@ -9,7 +9,8 @@ from aliasfree import (FilterSpec, design_kernel, kernel_from_text,
                        linear_schedule, read_raster, sample_classical,
                        write_raster)
 from aliasfree.cli import main, parse_angle, parse_denoiser_spec, parse_shape
-from aliasfree.diffusion import AnalyticGaussianDenoiser, GaussianDataSpec
+from aliasfree.diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
+                                 GaussianDataSpec)
 from aliasfree.rng import Rng
 
 
@@ -46,7 +47,7 @@ def test_parse_denoiser_spec():
     assert kind == "gaussian" and args == {"mu": 0.3, "sigma0": 0.05}
     for bad in ("unknown", "constant", "gaussian:mu=0.3",
                 "constant:v=0.5,w=2", "gaussian:mu=x,sigma0=1", "zero:v=1",
-                "constant:v=nan", "gaussian:mu=inf,sigma0=1"):
+                "constant:v=nan", "gaussian:mu=inf,sigma0=1", "constant:v"):
         with pytest.raises(ValueError):
             parse_denoiser_spec(bad)
 
@@ -132,6 +133,12 @@ def test_sample_command_files_and_seeding(tmp_path):
     for i, p in enumerate(paths):
         want = write_raster(sample_classical(den, sched, (1, 8, 8), Rng(7 ^ i)))
         assert p.read_bytes() == want
+    const = tmp_path / "const"
+    assert run("sample", "--config", "classical", "--T", "10",
+               "--shape", "1x8x8", "--denoiser", "constant:v=0.25",
+               "--seed", "7", "--out", str(const)) == 0
+    want = write_raster(sample_classical(ConstantDenoiser(0.25), sched, (1, 8, 8), Rng(7)))
+    assert (tmp_path / "const-000.pgm").read_bytes() == want
 
 
 def test_sample_command_rgb_uses_ppm(tmp_path):

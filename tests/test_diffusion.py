@@ -84,6 +84,10 @@ def test_forward_noise_validation():
         forward_noise(x, 0, x, s)
     with pytest.raises(ValueError):
         forward_noise(x, 11, x, s)
+    with pytest.raises(ValueError, match="got 0.5"):
+        forward_noise(x, 0.5, x, s)
+    with pytest.raises(ValueError, match="got inf"):
+        forward_noise(x, math.inf, x, s)
     with pytest.raises(ValueError):
         forward_noise(x, 3, np.zeros((1, 2, 3)), s)
 
@@ -142,6 +146,11 @@ def test_analytic_denoiser_step_validation():
     den = AnalyticGaussianDenoiser(d, s)
     with pytest.raises(ValueError):
         den.predict(np.zeros(d.shape), 0)
+    with pytest.raises(ValueError, match="got 2.7"):
+        den.predict(np.zeros(d.shape), 2.7)
+    x = np.ones(d.shape)
+    assert np.array_equal(den.predict(x, 3.0), den.predict(x, 3))
+    assert np.array_equal(den.predict(x, np.int64(3)), den.predict(x, 3))
 
 
 class ReplayOracle:
@@ -205,6 +214,8 @@ def test_training_loss_is_seed_deterministic():
     a = training_loss(ZeroDenoiser(), d, s, 100, Rng(5))
     b = training_loss(ZeroDenoiser(), d, s, 100, Rng(5))
     assert a == b
+    with pytest.raises(ValueError):
+        training_loss(ZeroDenoiser(), d, s, 0, Rng(5))
 
 
 def test_classical_sampler_single_step_by_hand():
@@ -254,6 +265,9 @@ def test_rotated_sampler_zero_angle_matches_classical_bitwise():
     a = sample_classical(ZeroDenoiser(), s, (1, 8, 8), Rng(51))
     b = sample_rotated(ZeroDenoiser(), s, (1, 8, 8), 0.0, Rng(51))
     assert np.array_equal(a, b)
+    # phi = 0 never reaches rotate, so the sampler checks fill itself
+    with pytest.raises(ValueError, match="bogus"):
+        sample_rotated(ZeroDenoiser(), s, (1, 8, 8), 0.0, Rng(51), fill="bogus")
 
 
 def test_rotated_sampler_single_step_is_one_rotation():

@@ -114,6 +114,14 @@ def test_parse_error_offsets():
     assert info.value.offset == 3
 
     with pytest.raises(RasterParseError) as info:
+        read_raster(b"P5\n2 0\n255\n")
+    assert info.value.offset == 5
+
+    with pytest.raises(RasterParseError) as info:
+        read_raster(b"P5\n2 2\n255")  # no separator byte after maxval
+    assert info.value.offset == len(b"P5\n2 2\n255")
+
+    with pytest.raises(RasterParseError) as info:
         read_raster(b"P5\n2 2\n255\n" + bytes(3))  # payload one byte short
     assert info.value.offset == len(b"P5\n2 2\n255\n" + bytes(3))
 

@@ -208,6 +208,8 @@ def test_shape_validation():
         convolve2d(np.full((1, 4, 4), np.inf), K1N)
     with pytest.raises(ValueError):
         upsample2x_naive(np.zeros((1, 1, 4)))
+    with pytest.raises(ValueError, match="empty axis"):
+        convolve2d(np.zeros((1, 0, 4)), K1N)
 
 
 def test_reflect_rejects_oversized_kernel():

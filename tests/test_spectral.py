@@ -65,6 +65,8 @@ def test_spectrum_freqs_grid():
     assert w[4] == 0.0
     assert w[-1] == pytest.approx(2.0 * math.pi * 3 / 8)
     assert np.all(np.diff(w) > 0)
+    with pytest.raises(ValueError):
+        spectrum_freqs(0)
 
 
 def test_freq_response_dc_equals_tap_sum():
@@ -195,6 +197,8 @@ def test_config_name_validation():
         PipelineConfig("A", FilterSpec(kaiser_beta=1.0, normalized=True))
     with pytest.raises(ValueError):
         PipelineConfig("D")
+    with pytest.raises(ValueError):
+        PipelineConfig("E")
 
 
 def test_apply_pipeline_compositions():
@@ -233,6 +237,9 @@ def test_equivariance_error_zero_for_commuting_case():
     img = band_limited_corpus(1, 32)[0]
     err = equivariance_error(PipelineConfig("A"), img, math.pi / 2)
     assert err <= 1e-12
+    # both branches of an all-zero image are zero, so the gap is 0
+    config_d = PipelineConfig("D", FilterSpec(kaiser_beta=1.0, normalized=True))
+    assert equivariance_error(config_d, np.zeros((1, 16, 16)), math.pi / 4) == 0.0
 
 
 def test_equivariance_error_scale_invariant():
