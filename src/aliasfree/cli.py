@@ -5,10 +5,11 @@ it, so identical invocations produce byte identical files. Each command
 returns its outputs as {path: bytes}, and main writes them only once the
 command has succeeded, so a command that fails writes no file. Only sample
 takes --seed (default 0); analyze always measures its built-in seed-2024
-corpus. Exit status is 0 on success, 2 when argparse rejects the command
-line (--seed on any other subcommand, a non-finite --denoiser value), and
-1 when a command rejects a value or an input while running (--T 0, a
-2-channel sample shape, an unreadable file).
+corpus. Angles are finite; a nonzero sample --phi needs --config rotated.
+Exit status is 0 on success, 2 when argparse rejects the command line
+(--seed on any other subcommand, a non-finite --denoiser value or angle),
+and 1 when a command rejects a value or an input while running (--T 0, a
+2-channel sample shape, classical sampling with --phi 1, an unreadable file).
 
 Examples:
 
@@ -48,10 +49,11 @@ from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
 
 
 def parse_angle(text: str) -> float:
-    """Float radians, with the convenience token half-pi."""
-    if text.strip() == "half-pi":
-        return HALF_PI
-    return float(text)
+    """Finite float radians, with the convenience token half-pi."""
+    angle = HALF_PI if text.strip() == "half-pi" else float(text)
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {text!r} is not finite")
+    return angle
 
 
 def parse_shape(text: str) -> tuple:
@@ -136,11 +138,8 @@ def cmd_resample(args) -> dict:
     if args.mode == "naive":
         out = downsample2x_naive(img) if args.dir == "down" else upsample2x_naive(img)
     else:
-        kernel = design_kernel(_filter_spec(args))
-        if args.dir == "down":
-            out = downsample2x_af(img, kernel, args.padding)
-        else:
-            out = upsample2x_af(img, kernel, args.padding)
+        resampler = downsample2x_af if args.dir == "down" else upsample2x_af
+        out = resampler(img, design_kernel(_filter_spec(args)), args.padding)
     return {args.out: write_raster(out)}
 
 
@@ -160,16 +159,16 @@ def cmd_rotate(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
+    if args.config == "classical" and args.phi != 0.0:
+        raise ValueError(f"--phi applies only to --config rotated, got {args.phi!r}")
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.shape[0] not in (1, 3):
         raise ValueError(f"sample writes 1 or 3 channels, got {args.shape[0]}")
     sched = linear_schedule(args.T, args.beta_start, args.beta_end, args.sigma_mode)
-    kind, dn_args = args.denoiser
-    denoiser = _build_denoiser(kind, dn_args, sched, args.shape)
-    phi = args.phi if args.config == "rotated" else 0.0
+    denoiser = _build_denoiser(*args.denoiser, sched, args.shape)
     rng = Rng([args.seed ^ i for i in range(args.n)])
-    xs = sample_rotated(denoiser, sched, args.shape, phi, rng, args.fill)
+    xs = sample_rotated(denoiser, sched, args.shape, args.phi, rng, args.fill)
     ext = "pgm" if args.shape[0] == 1 else "ppm"
     return {f"{args.out}-{i:03d}.{ext}": write_raster(x) for i, x in enumerate(xs)}
 
@@ -193,8 +192,7 @@ def cmd_analyze(args) -> dict:
     else:
         config = PipelineConfig(args.pipeline, None if args.pipeline == "A" else spec)
         rows = [("image", "config", "phi", "error")]
-        for i, img in enumerate(corpus):
-            err = equivariance_error(config, img, args.phi)
+        for i, err in enumerate(equivariance_error(config, corpus, args.phi)):
             rows.append((i, config_name(config), repr(args.phi), repr(err)))
     return {args.out: _csv(rows)}
 
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="trajectory i uses the stream seeded seed XOR i (default 0)")
     p.add_argument("--phi", type=parse_angle, default=0.0,
-                   help="total rotation for the rotated config")
+                   help="total rotation; only --config rotated takes a nonzero angle")
     p.add_argument("--fill", choices=FILL_MODES, default="replicate")
 
     p = command("analyze", cmd_analyze, "write corpus measurements as CSV")

@@ -184,7 +184,7 @@ def apply_pipeline(config: PipelineConfig, img) -> np.ndarray:
     return upsample2x_af(low, kernel) if af else upsample2x_naive(low)
 
 
-def equivariance_error(config: PipelineConfig, img, phi: float) -> float:
+def equivariance_error(config: PipelineConfig, img, phi: float) -> float | list[float]:
     """Relative L2 gap between rotate-then-process and process-then-rotate.
 
     The pipeline is apply_pipeline: ReLU with reflect padding. Rotations
@@ -192,11 +192,15 @@ def equivariance_error(config: PipelineConfig, img, phi: float) -> float:
     flat extrapolated content, and the comparison then mostly scores how
     a pipeline treats synthetic borders rather than the image itself.
     With zero fill both operand orders see the same vacated corners.
+    A C x H x W image gives one float and an N x C x H x W batch a list of
+    N floats, each bit for bit its image's own: the batch runs folded into
+    the channel axis, which every stage treats channel by channel.
     """
-    rotated_first = apply_pipeline(config, rotate(img, phi, fill="zero"))
-    rotated_last = rotate(apply_pipeline(config, img), phi, fill="zero")
-    denom = float(np.linalg.norm(rotated_last))
-    gap = float(np.linalg.norm(rotated_first - rotated_last))
-    if denom == 0.0:
-        return gap
-    return gap / denom
+    arr = np.asarray(img, dtype=float)
+    batch = arr if arr.ndim == 4 else arr[None]
+    x = batch.reshape((-1,) + batch.shape[2:])
+    first = apply_pipeline(config, rotate(x, phi, fill="zero")).reshape(batch.shape)
+    last = rotate(apply_pipeline(config, x), phi, fill="zero").reshape(batch.shape)
+    pairs = [(np.linalg.norm(a - b), np.linalg.norm(b)) for a, b in zip(first, last)]
+    errors = [float(gap / denom if denom != 0.0 else gap) for gap, denom in pairs]
+    return errors if arr.ndim == 4 else errors[0]

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from aliasfree import (FilterSpec, design_kernel, kernel_from_text,
+from aliasfree import (FilterSpec, PipelineConfig, band_limited_corpus,
+                       design_kernel, equivariance_error, kernel_from_text,
                        linear_schedule, read_raster, sample_classical,
                        write_raster)
 from aliasfree.cli import main, parse_angle, parse_denoiser_spec, parse_shape
@@ -28,8 +29,9 @@ def make_input(tmp_path, name="in.pgm", shape=(1, 16, 16), seed=5):
 def test_parse_angle():
     assert parse_angle("half-pi") == math.pi / 2
     assert parse_angle("0.25") == 0.25
-    with pytest.raises(ValueError):
-        parse_angle("quarter-pi")
+    for bad in ("quarter-pi", "nan", "inf", "-inf"):
+        with pytest.raises(ValueError):
+            parse_angle(bad)
 
 
 def test_parse_shape():
@@ -139,6 +141,11 @@ def test_sample_command_files_and_seeding(tmp_path):
                "--seed", "7", "--out", str(const)) == 0
     want = write_raster(sample_classical(ConstantDenoiser(0.25), sched, (1, 8, 8), Rng(7)))
     assert (tmp_path / "const-000.pgm").read_bytes() == want
+    # a zero angle of either sign is the classical chain
+    assert run("sample", "--config", "classical", "--T", "10",
+               "--shape", "1x8x8", "--denoiser", "constant:v=0.25", "--phi", "-0",
+               "--seed", "7", "--out", str(tmp_path / "neg0")) == 0
+    assert (tmp_path / "neg0-000.pgm").read_bytes() == want
 
 
 def test_sample_command_rgb_uses_ppm(tmp_path):
@@ -169,6 +176,18 @@ def test_analyze_commands(tmp_path):
     assert lines[0] == "image,config,phi,error"
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "D-1N"
+
+
+def test_analyze_equivariance_csv_matches_per_image_calls(tmp_path):
+    out = tmp_path / "eq.csv"
+    assert run("analyze", "--report", "equivariance", "--count", "3", "--N", "32",
+               "--out", str(out)) == 0
+    config = PipelineConfig("D", FilterSpec(kaiser_beta=1.0, normalized=False))
+    phi = math.pi / 4
+    rows = ["image,config,phi,error"] + [
+        f"{i},D-1,{phi!r},{equivariance_error(config, img, phi)!r}"
+        for i, img in enumerate(band_limited_corpus(3, 32))]
+    assert out.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
 
 
 def test_every_subcommand_is_byte_deterministic(tmp_path):
@@ -283,6 +302,12 @@ def test_sample_rejects_channel_count_before_sampling(tmp_path, monkeypatch, cap
     (["activate", "--in", "in.pgm", "--act", "relu", "--seed", "1"], 2),
     (["rotate", "--in", "in.pgm", "--phi", "0.1", "--seed", "1"], 2),
     (["analyze", "--report", "alias", "--seed", "1"], 2),
+    # 2: a non-finite angle
+    (["rotate", "--in", "in.pgm", "--phi", "nan"], 2),
+    (["analyze", "--report", "equivariance", "--phi", "inf"], 2),
+    (["kernel", "--cutoff", "nan"], 2),
+    # 1: a nonzero angle for the classical sampler
+    (["sample", "--config", "classical", "--phi", "1"], 1),
 ])
 def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)

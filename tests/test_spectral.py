@@ -252,6 +252,26 @@ def test_equivariance_error_scale_invariant():
     assert e1 == pytest.approx(e2, rel=1e-9)
 
 
+def test_equivariance_error_batch_matches_per_image_calls():
+    spec = FilterSpec(kaiser_beta=1.0, normalized=True)
+    configs = [PipelineConfig("A")] + [PipelineConfig(k, spec) for k in "BCD"]
+    rgb = 0.4 * np.asarray(Rng([1, 2, 3]).normal((3, 16, 16)))
+    gray = band_limited_corpus(3, 32)
+    gray[1] = 0.0
+    for batch in (rgb, gray):
+        for config in configs:
+            for phi in (math.pi / 7, HALF_PI, 0.0):
+                errors = equivariance_error(config, batch, phi)
+                assert errors == [equivariance_error(config, img, phi) for img in batch]
+                assert all(type(e) is float for e in errors)
+
+
+def test_equivariance_error_validation():
+    for bad in (np.zeros((8, 8)), np.zeros((0, 1, 8, 8))):
+        with pytest.raises(ValueError):
+            equivariance_error(PipelineConfig("A"), bad, math.pi / 4)
+
+
 def test_alias_free_pipeline_wins_at_oblique_angles():
     img = band_limited_corpus(2, 64)
     config_d = PipelineConfig("D", FilterSpec(kaiser_beta=1.0, normalized=True))
