@@ -24,10 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng
+from .rng import Rng, _box_muller, _steps
 from .rotation import FILL_MODES, rotate
 
 SIGMA_MODES = ("beta", "zero")
+# Most floats, summed over all streams, that one block of pre-drawn noise
+# holds; a block holds at least one draw.
+_NOISE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,20 +161,40 @@ def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
     Each draw samples x0 from the data distribution, a step t uniform on
     1..T, and a fresh eps, then scores ||eps - predict(x_t, t)||^2. The
     per-draw order is x0 elements, then t, then eps elements, so a fixed
-    seed pins the entire sequence.
+    seed pins the entire sequence. The words of many draws are fetched in
+    one block of bounded size; the stream, the counter and the loss are
+    those of data.draw, randint and normal called once per draw, and
+    predict still runs once per draw, in order. The rng must have a
+    single stream.
     """
     n_draws = int(n_draws)
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    if rng._streams:
+        raise ValueError("training_loss draws one sequence; it needs a single-stream Rng")
+    n = math.prod(data.shape)
+    words = n + n % 2
+    per_block = max(1, _NOISE_BLOCK // (2 * words + 1))
     total = 0.0
-    for _ in range(n_draws):
-        x0 = data.draw(rng)
-        t = rng.randint(sched.T)
-        eps = rng.normal(data.shape)
-        x_t = forward_noise(x0, t, eps, sched)
-        err = eps - denoiser.predict(x_t, t)
-        total += float(np.sum(err * err))
+    for start in range(0, n_draws, per_block):
+        top53 = rng._top53(min(per_block, n_draws - start), 2 * words + 1)
+        x0 = data.mean + data.stddev * _box_muller(top53[:, :words], data.shape)
+        steps = _steps(top53[:, words], sched.T).tolist()
+        eps = _box_muller(top53[:, words + 1:], data.shape)
+        for x0_k, t, eps_k in zip(x0, steps, eps):
+            x_t = forward_noise(x0_k, t, eps_k, sched)
+            err = eps_k - denoiser.predict(x_t, t)
+            total += float(np.sum(err * err))
     return total / n_draws
+
+
+def _noise(rng: Rng, shape: tuple, count: int, draw_size: int):
+    """Yield `count` consecutive normal(shape) draws of `draw_size` floats each
+    (over all streams), fetched in blocks of at most _NOISE_BLOCK floats."""
+    per_block = max(1, _NOISE_BLOCK // draw_size)
+    for start in range(0, count, per_block):
+        block = rng._normals(min(per_block, count - start), shape)
+        yield from np.moveaxis(block, block.ndim - len(shape) - 1, 0)
 
 
 def sample_classical(denoiser, sched: NoiseSchedule, shape, rng: Rng) -> np.ndarray:
@@ -186,7 +209,9 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     After every reverse step, including t = 1, the state turns by phi / T,
     so the total applied rotation is phi; phi = 0 skips the turns. Draw
     order: the initial x_T, then one fresh noise image per step with
-    t > 1 (whenever sigma_t is nonzero). A multi-stream rng runs one
+    t > 1 (whenever sigma_t is nonzero). The step noise is fetched in
+    blocks of bounded size; the stream, the counter and the output are
+    those of one normal(shape) call per step. A multi-stream rng runs one
     trajectory per stream and returns shape (N,) + shape; the denoiser
     then predicts on that whole batch.
     """
@@ -195,13 +220,14 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
         raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
     step_angle = float(phi) / sched.T
     x = rng.normal(shape)
+    noise = _noise(rng, shape, int(np.count_nonzero(sched.sigma[1:])), x.size)
     for t in range(sched.T, 0, -1):
         i = t - 1
         eps_hat = denoiser.predict(x, t)
         x = (x - (1.0 - sched.alpha[i]) / math.sqrt(1.0 - sched.alpha_bar[i]) * eps_hat) \
             / math.sqrt(sched.alpha[i])
         if t > 1 and sched.sigma[i] != 0.0:
-            x = x + sched.sigma[i] * rng.normal(shape)
+            x = x + sched.sigma[i] * next(noise)
         if step_angle != 0.0:
             # rotate turns each channel alike, so streams ride in the channel axis
             x = rotate(x.reshape((-1,) + shape[1:]), step_angle, fill).reshape(x.shape)

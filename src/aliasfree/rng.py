@@ -6,6 +6,12 @@ is the same sequence as n single draws. Uniforms take the top 53 bits of
 a raw word; normals come from Box-Muller pairs consumed in row-major
 element order, with the trailing spare discarded when an odd number of
 elements is requested.
+
+Since a pair never spans two draws, any fixed sequence of draws can come
+from one `_raw` call and be split by draw. The samplers and the training
+loss in `diffusion` fetch their noise this way, in blocks of bounded size:
+the stream, the counter and every output bit are those of one `normal`
+or `randint` call per draw.
 """
 
 import math
@@ -17,6 +23,29 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53 = float(1 << 53)
+
+
+def _box_muller(top53, shape) -> np.ndarray:
+    """Normals of `shape` from each row of top-53-bit words on the last axis.
+
+    Pair j uses words (2j, 2j + 1): the first maps to (0, 1] for the log
+    radius, the second to [0, 1) for the angle. A trailing spare is
+    dropped, so the result has shape top53.shape[:-1] + shape.
+    """
+    u1 = (top53[..., 0::2] + 1.0) / _TWO53
+    u2 = top53[..., 1::2] / _TWO53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(top53.shape)
+    out[..., 0::2] = radius * np.cos(angle)
+    out[..., 1::2] = radius * np.sin(angle)
+    return out[..., :math.prod(shape)].reshape(top53.shape[:-1] + shape)
+
+
+def _steps(top53, high):
+    """Integers in {1, ..., high} from top-53-bit words: with u = word / 2^53 in [0, 1),
+    each is 1 + min(floor(u * high), high - 1)."""
+    return 1 + np.minimum(top53 / _TWO53 * high, high - 1).astype(np.int64)
 
 
 class Rng:
@@ -46,39 +75,39 @@ class Rng:
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
 
+    def _top53(self, count: int, width: int) -> np.ndarray:
+        """`count` rows of `width` raw words as top-53-bit floats: streams + (count, width)."""
+        top53 = (self._raw(count * width) >> np.uint64(11)).astype(float)
+        return top53.reshape(self._streams + (count, width))
+
+    def _normals(self, count: int, shape) -> np.ndarray:
+        """`count` consecutive normal(shape) draws from one `_raw` call.
+
+        The result has shape streams + (count,) + shape and is bit for bit
+        the stack of `count` normal(shape) calls, which leave the counter
+        where this one does. `shape` is a tuple of ints.
+        """
+        n = math.prod(shape)
+        if n < 1:
+            raise ValueError(f"shape must hold at least one element, got {shape}")
+        return _box_muller(self._top53(count, n + n % 2), shape)
+
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws in [0, 1) with 53-bit resolution."""
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        n = int(math.prod(shape))
-        u = (self._raw(n) >> np.uint64(11)).astype(float) / _TWO53
-        return u.reshape(self._streams + shape) if shape or self._streams else float(u[0])
+        u = self._top53(1, math.prod(shape)) / _TWO53
+        return u.reshape(self._streams + shape) if shape or self._streams else u.item()
 
     def randint(self, high: int) -> int:
-        """Uniform integer in {1, ..., high} from one uniform draw."""
+        """Uniform integer in {1, ..., high} from one raw word (see `_steps`)."""
         high = int(high)
         if high < 1:
             raise ValueError(f"high must be >= 1, got {high}")
         if self._streams:
             raise ValueError("randint draws one integer; it needs a single-stream Rng")
-        return 1 + min(int(self.uniform() * high), high - 1)
+        return _steps(self._top53(1, 1), high).item()
 
     def normal(self, shape) -> np.ndarray:
-        """Standard normal draws via Box-Muller.
-
-        Pair j uses raw words (2j, 2j + 1): the first maps to (0, 1] for
-        the log radius, the second to [0, 1) for the angle.
-        """
+        """Standard normal draws via Box-Muller (see `_box_muller`)."""
         shape = tuple(int(d) for d in np.atleast_1d(shape))
-        n = math.prod(shape)
-        if n < 1:
-            raise ValueError(f"shape must hold at least one element, got {shape}")
-        pairs = (n + 1) // 2
-        top53 = (self._raw(2 * pairs) >> np.uint64(11)).astype(float)
-        u1 = (top53[..., 0::2] + 1.0) / _TWO53
-        u2 = top53[..., 1::2] / _TWO53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.empty(self._streams + (2 * pairs,))
-        out[..., 0::2] = radius * np.cos(angle)
-        out[..., 1::2] = radius * np.sin(angle)
-        return out[..., :n].reshape(self._streams + shape)
+        return self._normals(1, shape).reshape(self._streams + shape)

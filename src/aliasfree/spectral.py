@@ -197,6 +197,9 @@ def equivariance_error(config: PipelineConfig, img, phi: float) -> float | list[
     the channel axis, which every stage treats channel by channel.
     """
     arr = np.asarray(img, dtype=float)
+    if arr.ndim not in (3, 4) or 0 in arr.shape:
+        raise ValueError(f"expected a non-empty C x H x W image or N x C x H x W batch, "
+                         f"got shape {arr.shape}")
     batch = arr if arr.ndim == 4 else arr[None]
     x = batch.reshape((-1,) + batch.shape[2:])
     first = apply_pipeline(config, rotate(x, phi, fill="zero")).reshape(batch.shape)

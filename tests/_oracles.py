@@ -2,13 +2,19 @@
 
 Everything here is deliberately written the slow, obvious way: explicit
 loops, explicit index arithmetic, extended-precision series. None of it
-shares code with the package under test.
+shares code with the package under test, except the two diffusion
+replays at the end: they draw through the public one-call-per-draw
+`Rng.normal` and `Rng.randint` (and turn the state with the package's
+`rotate`), so that the package's block-drawn noise can be held to them
+bit for bit.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from aliasfree.rotation import rotate
 
 mp.mp.dps = 50
 
@@ -138,3 +144,33 @@ def dft2_loops(img):
                     acc += img[n1, n2] * np.exp(-2j * np.pi * (k1 * n1 + k2 * n2) / N)
             out[ki, kj] = acc
     return out
+
+
+def sample_rotated_per_step(denoiser, sched, shape, phi, rng, fill="replicate"):
+    """The rotated reverse chain with one rng.normal call per noisy step."""
+    step_angle = float(phi) / sched.T
+    x = rng.normal(shape)
+    for t in range(sched.T, 0, -1):
+        i = t - 1
+        eps_hat = denoiser.predict(x, t)
+        x = (x - (1.0 - sched.alpha[i]) / math.sqrt(1.0 - sched.alpha_bar[i]) * eps_hat) \
+            / math.sqrt(sched.alpha[i])
+        if t > 1 and sched.sigma[i] != 0.0:
+            x = x + sched.sigma[i] * rng.normal(shape)
+        if step_angle != 0.0:
+            x = rotate(x.reshape((-1,) + tuple(shape[1:])), step_angle, fill).reshape(x.shape)
+    return x
+
+
+def training_loss_per_draw(denoiser, data, sched, n_draws, rng):
+    """The noise-prediction objective with normal, randint, normal calls per draw."""
+    total = 0.0
+    for _ in range(n_draws):
+        x0 = data.mean + data.stddev * rng.normal(data.shape)
+        t = rng.randint(sched.T)
+        eps = rng.normal(data.shape)
+        ab = sched.alpha_bar[t - 1]
+        x_t = math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
+        err = eps - denoiser.predict(x_t, t)
+        total += float(np.sum(err * err))
+    return total / n_draws

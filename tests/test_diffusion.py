@@ -7,7 +7,10 @@ from aliasfree import (AnalyticGaussianDenoiser, ConstantDenoiser,
                        GaussianDataSpec, ZeroDenoiser, forward_noise,
                        linear_schedule, rotate, sample_classical,
                        sample_rotated, training_loss)
+from aliasfree import diffusion
 from aliasfree.rng import Rng
+
+from _oracles import sample_rotated_per_step, training_loss_per_draw
 
 
 def test_schedule_default_constants():
@@ -306,3 +309,70 @@ def test_samplers_batch_streams_bitwise():
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(sample_classical(den, s, (3, 8, 8), Rng(seeds)),
                           sample_rotated(den, s, (3, 8, 8), 0.0, Rng(seeds)))
+
+
+class Recorder:
+    """Passes predict through and records each call's step and input bytes."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, []
+
+    def predict(self, x_t, t):
+        self.calls.append((type(t), t, np.asarray(x_t).tobytes()))
+        return self.base.predict(x_t, t)
+
+
+def _bound_for(per_block, draw_size):
+    # None: a bound below one draw; otherwise the largest bound that holds
+    # per_block draws, so a block boundary never falls where the bound does
+    return 1 if per_block is None else per_block * draw_size + draw_size - 1
+
+
+# 11 noisy steps at T = 12 and 23 loss draws: 4 and 7 leave a partial last block
+@pytest.mark.parametrize("per_block", [None, 1, 4, 7, 64])
+def test_sampler_block_noise_matches_per_step_replay(per_block, monkeypatch):
+    scheds = [linear_schedule(12), linear_schedule(12, sigma_mode="zero"), linear_schedule(1)]
+    for shape in ((1, 3, 3), (3, 5, 7)):
+        for seed in (0, [4, 5, 6]):
+            streams = len(seed) if isinstance(seed, list) else 1
+            bound = _bound_for(per_block, streams * math.prod(shape))
+            monkeypatch.setattr(diffusion, "_NOISE_BLOCK", bound)
+            for s in scheds:
+                den = AnalyticGaussianDenoiser(GaussianDataSpec(0.3, 0.05, shape), s)
+                for phi in (0.0, 0.7):
+                    got_rng, want_rng = Rng(seed), Rng(seed)
+                    got = sample_rotated(den, s, shape, phi, got_rng, "zero")
+                    want = sample_rotated_per_step(den, s, shape, phi, want_rng, "zero")
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    assert got_rng._count == want_rng._count
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 4, 7, 64])
+def test_training_loss_block_draws_match_per_draw_replay(per_block, monkeypatch):
+    for shape in ((1, 3, 3), (3, 5, 7)):
+        words = 2 * math.prod(shape) + 2 * (math.prod(shape) % 2) + 1
+        monkeypatch.setattr(diffusion, "_NOISE_BLOCK", _bound_for(per_block, words))
+        data = GaussianDataSpec(0.3, 0.05, shape)
+        for s in (linear_schedule(12), linear_schedule(12, sigma_mode="zero"),
+                  linear_schedule(1)):
+            for seed in (0, 91):
+                got_den = Recorder(AnalyticGaussianDenoiser(data, s))
+                want_den = Recorder(AnalyticGaussianDenoiser(data, s))
+                got_rng, want_rng = Rng(seed), Rng(seed)
+                got = training_loss(got_den, data, s, 23, got_rng)
+                want = training_loss_per_draw(want_den, data, s, 23, want_rng)
+                assert repr(got) == repr(want)
+                assert got_den.calls == want_den.calls
+                assert got_rng._count == want_rng._count
+
+
+def test_training_loss_rejects_multi_stream_rng_before_any_work():
+    d = GaussianDataSpec(mean=0.3, stddev=0.05, shape=(1, 4, 4))
+    s = linear_schedule(10)
+    den = Recorder(ZeroDenoiser())
+    rng = Rng([1, 2])
+    with pytest.raises(ValueError, match="single-stream"):
+        training_loss(den, d, s, 4, rng)
+    assert rng._count == 0
+    assert den.calls == []

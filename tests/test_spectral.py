@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,12 @@ def test_equivariance_error_validation():
     for bad in (np.zeros((8, 8)), np.zeros((0, 1, 8, 8))):
         with pytest.raises(ValueError):
             equivariance_error(PipelineConfig("A"), bad, math.pi / 4)
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 8, 8), (1, 0, 8, 8), (8, 8), (1, 1, 1, 8, 8)])
+def test_equivariance_error_names_the_shape_passed(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        equivariance_error(PipelineConfig("A"), np.zeros(shape), math.pi / 4)
 
 
 def test_alias_free_pipeline_wins_at_oblique_angles():
