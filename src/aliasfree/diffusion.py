@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .resample import check_image
 from .rng import Rng, _box_muller, _steps
-from .rotation import FILL_MODES, rotate
+from .rotation import FILL_MODES, _rotator
 
 SIGMA_MODES = ("beta", "zero")
 # Most floats, summed over all streams, that one block of pre-drawn noise
@@ -214,11 +215,21 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     those of one normal(shape) call per step. A multi-stream rng runs one
     trajectory per stream and returns shape (N,) + shape; the denoiser
     then predicts on that whole batch.
+
+    The rotation's gather indices and weights are built once per chain,
+    not once per step; the output bytes are those of one rotate call per
+    step. A non-finite phi, an unknown fill and, for a nonzero phi, a
+    shape that is not C x H x W with positive sides are rejected before
+    any draw or predict call.
     """
     shape = tuple(int(d) for d in shape)
     if fill not in FILL_MODES:
         raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
     step_angle = float(phi) / sched.T
+    if step_angle != 0.0:
+        if len(shape) != 3 or min(shape) < 1:
+            raise ValueError(f"expected a C x H x W shape with positive sides, got {shape}")
+        turn = _rotator(shape[1], shape[2], step_angle, fill)
     x = rng.normal(shape)
     noise = _noise(rng, shape, int(np.count_nonzero(sched.sigma[1:])), x.size)
     for t in range(sched.T, 0, -1):
@@ -229,6 +240,6 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
         if t > 1 and sched.sigma[i] != 0.0:
             x = x + sched.sigma[i] * next(noise)
         if step_angle != 0.0:
-            # rotate turns each channel alike, so streams ride in the channel axis
-            x = rotate(x.reshape((-1,) + shape[1:]), step_angle, fill).reshape(x.shape)
+            # every channel turns alike, so streams ride in the channel axis
+            x = turn(check_image(x.reshape((-1,) + shape[1:]))).reshape(x.shape)
     return x

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .resample import bilinear_gather, check_image
+from .resample import _bilinear_apply, _bilinear_plan, check_image
 
 FILL_MODES = ("replicate", "zero")
 
@@ -27,24 +27,15 @@ def _snap(v: float) -> float:
     return v
 
 
-def rotate(img, phi, fill: str = "replicate") -> np.ndarray:
-    """Rotate an image tensor about its center by `phi` radians.
-
-    Each output pixel pulls from the source location found by rotating
-    its own offset from the center by -phi, then interpolates bilinearly
-    between the four surrounding samples. Source locations outside the
-    grid are handled by `fill`: "replicate" clamps them to the nearest
-    edge sample, "zero" makes the pixel 0. phi = 0 returns the input
-    values unchanged.
-    """
-    arr = check_image(img)
+def _rotator(H: int, W: int, phi, fill: str):
+    """Check phi and fill, build the gather plan and zero-fill mask once, and
+    return a function that turns a C x H x W float array by phi."""
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
     if fill not in FILL_MODES:
         raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
 
-    _, H, W = arr.shape
     cy = (H - 1) / 2.0
     cx = (W - 1) / 2.0
     c, s = _snap(math.cos(phi)), _snap(math.sin(phi))
@@ -55,9 +46,26 @@ def rotate(img, phi, fill: str = "replicate") -> np.ndarray:
     src_r = cy + c * dr + s * dc
     src_c = cx - s * dr + c * dc
 
-    out = bilinear_gather(arr, src_r, src_c)
-    if fill == "zero":
-        inside = ((src_r >= 0.0) & (src_r <= H - 1)
-                  & (src_c >= 0.0) & (src_c <= W - 1))
-        out = np.where(inside[None, :, :], out, 0.0)
-    return out
+    plan = _bilinear_plan(H, W, src_r, src_c)
+    if fill == "replicate":
+        return lambda arr: _bilinear_apply(arr, plan)
+    inside = ((src_r >= 0.0) & (src_r <= H - 1)
+              & (src_c >= 0.0) & (src_c <= W - 1))[None, :, :]
+    return lambda arr: np.where(inside, _bilinear_apply(arr, plan), 0.0)
+
+
+def rotate(img, phi, fill: str = "replicate") -> np.ndarray:
+    """Rotate an image tensor about its center by `phi` radians.
+
+    Each output pixel pulls from the source location found by rotating
+    its own offset from the center by -phi, then interpolates bilinearly
+    between the four surrounding samples. Source locations outside the
+    grid are handled by `fill`: "replicate" clamps them to the nearest
+    edge sample, "zero" makes the pixel 0. phi = 0 returns the input
+    values unchanged. The indices and weights depend only on the shape,
+    phi and fill; `sample_rotated` builds them once per chain and gets
+    the same bytes as one call here per step.
+    """
+    arr = check_image(img)
+    _, H, W = arr.shape
+    return _rotator(H, W, phi, fill)(arr)

@@ -129,6 +129,28 @@ def bilinear_rotate_loops(img, phi, fill):
     return out
 
 
+def bilinear_upsample_loops(img):
+    """Align-corners bilinear doubling, scalar math only."""
+    img = np.asarray(img, dtype=float)
+    C, H, W = img.shape
+    out = np.zeros((C, 2 * H, 2 * W))
+    for ch in range(C):
+        for r in range(2 * H):
+            for c in range(2 * W):
+                sr = r * (H - 1) / (2 * H - 1)
+                sc = c * (W - 1) / (2 * W - 1)
+                r0 = int(math.floor(sr))
+                c0 = int(math.floor(sc))
+                r1 = min(r0 + 1, H - 1)
+                c1 = min(c0 + 1, W - 1)
+                fr = sr - r0
+                fc = sc - c0
+                top = (1 - fc) * img[ch, r0, c0] + fc * img[ch, r0, c1]
+                bot = (1 - fc) * img[ch, r1, c0] + fc * img[ch, r1, c1]
+                out[ch, r, c] = (1 - fr) * top + fr * bot
+    return out
+
+
 def dft2_loops(img):
     """Direct O(N^4) centered 2D DFT."""
     img = np.asarray(img, dtype=float)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aliasfree import (AnalyticGaussianDenoiser, ConstantDenoiser,
+from aliasfree import (FILL_MODES, AnalyticGaussianDenoiser, ConstantDenoiser,
                        GaussianDataSpec, ZeroDenoiser, forward_noise,
                        linear_schedule, rotate, sample_classical,
                        sample_rotated, training_loss)
@@ -268,7 +268,7 @@ def test_rotated_sampler_zero_angle_matches_classical_bitwise():
     a = sample_classical(ZeroDenoiser(), s, (1, 8, 8), Rng(51))
     b = sample_rotated(ZeroDenoiser(), s, (1, 8, 8), 0.0, Rng(51))
     assert np.array_equal(a, b)
-    # phi = 0 never reaches rotate, so the sampler checks fill itself
+    # phi = 0 builds no rotation, so the sampler checks fill itself
     with pytest.raises(ValueError, match="bogus"):
         sample_rotated(ZeroDenoiser(), s, (1, 8, 8), 0.0, Rng(51), fill="bogus")
 
@@ -346,6 +346,41 @@ def test_sampler_block_noise_matches_per_step_replay(per_block, monkeypatch):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     assert got_rng._count == want_rng._count
+
+
+@pytest.mark.parametrize("fill", FILL_MODES)
+def test_rotated_sampler_matches_per_step_rotate_replay(fill):
+    # T * pi / 2 makes every step an exact quarter turn, through _snap
+    T = 6
+    for shape in ((1, 3, 3), (3, 5, 7), (1, 1, 6)):
+        for s in (linear_schedule(T), linear_schedule(T, sigma_mode="zero")):
+            den = AnalyticGaussianDenoiser(GaussianDataSpec(0.3, 0.05, shape), s)
+            for seed in (0, [4, 5, 6]):
+                for phi in (0.7, -2.1, T * math.pi / 2):
+                    got_rng, want_rng = Rng(seed), Rng(seed)
+                    got = sample_rotated(den, s, shape, phi, got_rng, fill)
+                    want = sample_rotated_per_step(den, s, shape, phi, want_rng, fill)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (shape, seed, phi)
+                    assert got_rng._count == want_rng._count
+
+
+@pytest.mark.parametrize("phi, shape, match", [
+    (float("nan"), (1, 8, 8), "finite"),
+    (float("inf"), (1, 8, 8), "finite"),
+    (-float("inf"), (3, 5, 7), "finite"),
+    (0.3, (8, 8), "C x H x W"),
+    (0.3, (1, 1, 8, 8), "C x H x W"),
+    (0.3, (1, 0, 8), "C x H x W"),
+    (0.3, (0, 8, 8), "C x H x W"),
+])
+def test_rotated_sampler_rejects_bad_phi_or_shape_before_any_work(phi, shape, match):
+    den = Recorder(ZeroDenoiser())
+    rng = Rng(3)
+    with pytest.raises(ValueError, match=match):
+        sample_rotated(den, linear_schedule(10), shape, phi, rng)
+    assert rng._count == 0
+    assert den.calls == []
 
 
 @pytest.mark.parametrize("per_block", [None, 1, 4, 7, 64])

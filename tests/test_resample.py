@@ -6,7 +6,8 @@ from aliasfree import (FilterSpec, Kernel2D, convolve2d, design_kernel,
                        upsample2x_naive)
 from aliasfree.rng import Rng
 
-from _oracles import (conv2d_loops, downsample_af_loops, upsample_af_loops)
+from _oracles import (bilinear_upsample_loops, conv2d_loops, downsample_af_loops,
+                      upsample_af_loops)
 
 K1N = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
 K0U = design_kernel(FilterSpec(kaiser_beta=0.0, normalized=False))
@@ -166,20 +167,12 @@ def test_max_pool_matches_loops():
 
 
 def test_bilinear_matches_loops():
-    img = rand_img(51, (1, 4, 5))
-    out = upsample2x_naive(img)
-    C, H, W = img.shape
-    assert out.shape == (1, 8, 10)
-    for r in range(2 * H):
-        for c in range(2 * W):
-            sr = r * (H - 1) / (2 * H - 1)
-            sc = c * (W - 1) / (2 * W - 1)
-            r0, c0 = int(np.floor(sr)), int(np.floor(sc))
-            r1, c1 = min(r0 + 1, H - 1), min(c0 + 1, W - 1)
-            fr, fc = sr - r0, sc - c0
-            top = (1 - fc) * img[0, r0, c0] + fc * img[0, r0, c1]
-            bot = (1 - fc) * img[0, r1, c0] + fc * img[0, r1, c1]
-            assert abs(out[0, r, c] - ((1 - fr) * top + fr * bot)) <= 1e-12
+    for shape in ((1, 4, 5), (1, 2, 2), (1, 3, 5), (3, 2, 7)):
+        img = rand_img(51, shape)
+        out = upsample2x_naive(img)
+        C, H, W = shape
+        assert out.shape == (C, 2 * H, 2 * W)
+        assert np.max(np.abs(out - bilinear_upsample_loops(img))) <= 1e-12, shape
 
 
 def test_bilinear_corners_exact():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aliasfree import band_limited_corpus, rotate
+from aliasfree import FILL_MODES, band_limited_corpus, rotate
 from aliasfree.rng import Rng
 
 from _oracles import bilinear_rotate_loops
@@ -14,12 +14,17 @@ def rand_img(seed, shape):
 
 
 def test_matches_loop_oracle_generic_angles():
-    img = rand_img(1, (1, 7, 9))
-    for phi in (0.3, -0.7, math.pi / 7, 2.1):
-        for fill in ("replicate", "zero"):
-            got = rotate(img, phi, fill)
-            want = bilinear_rotate_loops(img, phi, fill)
-            assert np.max(np.abs(got - want)) <= 1e-12, (phi, fill)
+    # odd, non-square and tiny shapes; 4.49e-4 is the per-step angle of a
+    # 1000-step chain turning by pi / 7; quarter turns are left to the
+    # exact-permutation tests below
+    for shape in ((1, 7, 9), (1, 1, 1), (1, 1, 6), (2, 5, 1), (3, 6, 4), (1, 2, 3)):
+        img = rand_img(1, shape)
+        for phi in (0.3, -0.7, math.pi / 7, 2.1, -2.1, 3.0, 1e-4, 4.49e-4):
+            for fill in FILL_MODES:
+                got = rotate(img, phi, fill)
+                want = bilinear_rotate_loops(img, phi, fill)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12, (shape, phi, fill)
 
 
 def test_multichannel_rotates_channels_independently():
