@@ -12,8 +12,14 @@ Convolution is direct:
 
 with x extended past its borders by the padding rule. Reflect padding
 mirrors without repeating the edge sample (index -1 maps to index 1) and
-rejects kernels larger than 2 * min(H, W) + 1; zero padding accepts any
-kernel size.
+rejects kernels larger than 2 * min(H, W) + 1 for the grid it pads, the
+doubled grid when upsampling; zero padding accepts any kernel size.
+
+Only the samples that survive are computed: downsampling evaluates the
+kept outputs alone, upsampling never builds the interleaved zeros and
+sums only the taps that meet an original sample, and bilinear doubling
+interpolates columns, then rows. The output bytes are those of filtering
+at full rate and of a two-dimensional gather.
 """
 
 import numpy as np
@@ -41,38 +47,44 @@ def _require_even(arr):
         raise ValueError(f"height and width must be even, got {H} x {W}")
 
 
-def _padded(arr, radius, padding):
+def _check_padding(padding, radius, H, W, up=False):
+    """Reject an unknown mode, and a reflect kernel too wide for an H x W
+    image, or for its doubled grid when `up`."""
     if padding not in PADDING_MODES:
         raise ValueError(f"unknown padding mode {padding!r}")
-    _, H, W = arr.shape
-    if padding == "reflect" and radius > min(H, W):
+    limit = (2 if up else 1) * min(H, W)
+    if padding == "reflect" and radius > limit:
         raise ValueError(
             f"kernel size {2 * radius + 1} exceeds reflect-padding limit "
-            f"{2 * min(H, W) + 1} for a {H} x {W} image")
-    return np.pad(arr, ((0, 0), (radius, radius), (radius, radius)),
-                  mode="reflect" if padding == "reflect" else "constant")
+            f"{2 * limit + 1} for {'upsampling ' if up else ''}a {H} x {W} image")
+
+
+def _filtered(arr, kernel: Kernel2D, padding: str, step: int = 1) -> np.ndarray:
+    """Convolve each channel with `kernel` at every `step`-th row and column."""
+    C, H, W = arr.shape
+    r = kernel.radius
+    _check_padding(padding, r, H, W)
+    p = np.pad(arr, ((0, 0), (r, r), (r, r)),
+               mode="reflect" if padding == "reflect" else "constant")
+    out = np.zeros((C, H // step, W // step))
+    for di in range(kernel.size):
+        for dj in range(kernel.size):
+            # tap (i, j) = (di - r, dj - r) pairs with x shifted by (-i, -j)
+            block = p[:, 2 * r - di: 2 * r - di + H: step, 2 * r - dj: 2 * r - dj + W: step]
+            out += kernel.taps[di, dj] * block
+    return out
 
 
 def convolve2d(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
     """Convolve each channel with `kernel` at unchanged resolution."""
-    arr = check_image(img)
-    r = kernel.radius
-    p = _padded(arr, r, padding)
-    _, H, W = arr.shape
-    out = np.zeros_like(arr)
-    for di in range(kernel.size):
-        for dj in range(kernel.size):
-            # tap (i, j) = (di - r, dj - r) pairs with x shifted by (-i, -j)
-            block = p[:, 2 * r - di: 2 * r - di + H, 2 * r - dj: 2 * r - dj + W]
-            out += kernel.taps[di, dj] * block
-    return out
+    return _filtered(check_image(img), kernel, padding)
 
 
 def downsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
     """Low-pass filter, then keep even-index rows and columns."""
     arr = check_image(img)
     _require_even(arr)
-    return convolve2d(arr, kernel, padding)[:, ::2, ::2]
+    return _filtered(arr, kernel, padding, step=2)
 
 
 def upsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
@@ -83,9 +95,29 @@ def upsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray
     """
     arr = check_image(img)
     C, H, W = arr.shape
-    stuffed = np.zeros((C, 2 * H, 2 * W))
-    stuffed[:, ::2, ::2] = arr
-    return 4.0 * convolve2d(stuffed, kernel, padding)
+    r, h = kernel.radius, kernel.radius // 2
+    _check_padding(padding, r, H, W, up=True)
+    # Both border rules keep index parity on the interleaved grid, so its even
+    # samples padded by r are the input padded by h before and r - h after:
+    # zeros, or reflect before and symmetric after, which a padded index ramp
+    # of the interleaved axis gives however often reflect folds.
+    if padding == "reflect":
+        rows, cols = (np.pad(np.arange(2 * n), r, mode="reflect")[r % 2::2] // 2
+                      for n in (H, W))
+        small = arr[:, rows[:, None], cols]
+    else:
+        small = np.pad(arr, ((0, 0), (h, r - h), (h, r - h)))
+    out = np.empty((C, 2 * H, 2 * W))
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        # output phase (a, b) meets the originals only through the taps
+        # (di, dj) with di - r - a and dj - r - b even
+        acc = np.zeros((C, H, W))
+        for di in range((r + a) % 2, kernel.size, 2):
+            for dj in range((r + b) % 2, kernel.size, 2):
+                i, j = (r + a - di) // 2 + h, (r + b - dj) // 2 + h
+                acc += kernel.taps[di, dj] * small[:, i: i + H, j: j + W]
+        out[:, a::2, b::2] = 4.0 * acc
+    return out
 
 
 def downsample2x_naive(img) -> np.ndarray:
@@ -94,6 +126,15 @@ def downsample2x_naive(img) -> np.ndarray:
     _require_even(arr)
     C, H, W = arr.shape
     return arr.reshape(C, H // 2, 2, W // 2, 2).max(axis=(2, 4))
+
+
+def _doubling_plan(n: int):
+    """Source indices and weights of align-corners linear doubling of n samples."""
+    # integer numerators keep the endpoint coordinates exact after division
+    src = np.arange(2 * n) * (n - 1) / (2 * n - 1)
+    i0 = np.floor(src).astype(int)
+    f = src - i0
+    return i0, np.minimum(i0 + 1, n - 1), 1.0 - f, f
 
 
 def upsample2x_naive(img) -> np.ndarray:
@@ -106,33 +147,9 @@ def upsample2x_naive(img) -> np.ndarray:
     C, H, W = arr.shape
     if H < 2 or W < 2:
         raise ValueError(f"bilinear doubling needs H, W >= 2, got {H} x {W}")
-    # integer numerators keep the endpoint coordinates exact after division
-    u = np.arange(2 * H) * (H - 1) / (2 * H - 1)
-    v = np.arange(2 * W) * (W - 1) / (2 * W - 1)
-    return _bilinear_apply(arr, _bilinear_plan(H, W, u[:, None], v[None, :]))
-
-
-def _bilinear_plan(H: int, W: int, src_r, src_c):
-    """Flat gather indices and blend weights for bilinear samples of an
-    H x W grid at broadcast (src_r, src_c), clamped to the grid."""
-    src_r = np.clip(src_r, 0.0, H - 1)
-    src_c = np.clip(src_c, 0.0, W - 1)
-    r0 = np.floor(src_r).astype(int)
-    c0 = np.floor(src_c).astype(int)
-    fr = src_r - r0
-    fc = src_c - c0
-    row0 = r0 * W
-    row1 = np.minimum(r0 + 1, H - 1) * W
-    c1 = np.minimum(c0 + 1, W - 1)
-    return (row0 + c0, row0 + c1, row1 + c0, row1 + c1), (1.0 - fc, fc, 1.0 - fr, fr)
-
-
-def _bilinear_apply(arr: np.ndarray, plan) -> np.ndarray:
-    """Bilinear samples of every channel of a C x H x W array by a plan."""
-    (i00, i01, i10, i11), (wc0, wc1, wr0, wr1) = plan
-    C, H, W = arr.shape
-    # gather by flat index: take along one axis is numpy's fastest gather
-    flat = arr.reshape(C, H * W)
-    top = wc0 * flat.take(i00, axis=1) + wc1 * flat.take(i01, axis=1)
-    bottom = wc0 * flat.take(i10, axis=1) + wc1 * flat.take(i11, axis=1)
-    return wr0 * top + wr1 * bottom
+    r0, r1, wr0, wr1 = _doubling_plan(H)
+    c0, c1, wc0, wc1 = _doubling_plan(W)
+    # columns at the H input rows, then rows: each output is the same blend
+    # of the same four samples as a two-dimensional bilinear gather
+    cols = wc0 * arr.take(c0, axis=2) + wc1 * arr.take(c1, axis=2)
+    return wr0[:, None] * cols.take(r0, axis=1) + wr1[:, None] * cols.take(r1, axis=1)

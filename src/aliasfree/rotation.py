@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .resample import _bilinear_apply, _bilinear_plan, check_image
+from .resample import check_image
 
 FILL_MODES = ("replicate", "zero")
 
@@ -25,6 +25,32 @@ def _snap(v: float) -> float:
     if abs(abs(v) - 1.0) < _SNAP_EPS:
         return math.copysign(1.0, v)
     return v
+
+
+def _bilinear_plan(H: int, W: int, src_r, src_c):
+    """Flat gather indices and blend weights for bilinear samples of an
+    H x W grid at broadcast (src_r, src_c), clamped to the grid."""
+    src_r = np.clip(src_r, 0.0, H - 1)
+    src_c = np.clip(src_c, 0.0, W - 1)
+    r0 = np.floor(src_r).astype(int)
+    c0 = np.floor(src_c).astype(int)
+    fr = src_r - r0
+    fc = src_c - c0
+    row0 = r0 * W
+    row1 = np.minimum(r0 + 1, H - 1) * W
+    c1 = np.minimum(c0 + 1, W - 1)
+    return (row0 + c0, row0 + c1, row1 + c0, row1 + c1), (1.0 - fc, fc, 1.0 - fr, fr)
+
+
+def _bilinear_apply(arr: np.ndarray, plan) -> np.ndarray:
+    """Bilinear samples of every channel of a C x H x W array by a plan."""
+    (i00, i01, i10, i11), (wc0, wc1, wr0, wr1) = plan
+    C, H, W = arr.shape
+    # gather by flat index: take along one axis is numpy's fastest gather
+    flat = arr.reshape(C, H * W)
+    top = wc0 * flat.take(i00, axis=1) + wc1 * flat.take(i01, axis=1)
+    bottom = wc0 * flat.take(i10, axis=1) + wc1 * flat.take(i11, axis=1)
+    return wr0 * top + wr1 * bottom
 
 
 def _rotator(H: int, W: int, phi, fill: str):

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aliasfree import (FilterSpec, Kernel2D, convolve2d, design_kernel,
                        downsample2x_af, downsample2x_naive, upsample2x_af,
-                       upsample2x_naive)
+                       upsample2x_naive, wrapped_activation)
 from aliasfree.rng import Rng
+from aliasfree.rotation import _bilinear_apply, _bilinear_plan
 
 from _oracles import (bilinear_upsample_loops, conv2d_loops, downsample_af_loops,
                       upsample_af_loops)
@@ -217,3 +220,123 @@ def test_reflect_rejects_oversized_kernel():
 def test_unknown_padding_rejected():
     with pytest.raises(ValueError):
         convolve2d(np.zeros((1, 4, 4)), K1N, "wrap")
+
+
+# Property tests over odd, tiny and non-square shapes, both paddings and
+# kernel sizes up to radius 4, which reaches 2 * min(H, W) on the 1x1x1 and
+# 1x2x2 images, where reflect padding of the interleaved grid folds twice.
+PROPERTY_SHAPES = ((1, 1, 1), (1, 2, 2), (2, 3, 5), (3, 6, 8), (1, 1, 6), (2, 4, 1))
+PROPERTY_SIZES = (1, 3, 5, 7, 9)
+
+
+def full_rate_downsample(img, kernel, padding):
+    """Filter at full resolution, then decimate."""
+    if img.shape[1] % 2 or img.shape[2] % 2:
+        raise ValueError("odd size")
+    return convolve2d(img, kernel, padding)[:, ::2, ::2]
+
+
+def zero_stuffed_upsample(img, kernel, padding):
+    """Filter the zero-interleaved grid at full resolution."""
+    C, H, W = img.shape
+    stuffed = np.zeros((C, 2 * H, 2 * W))
+    stuffed[:, ::2, ::2] = img
+    return 4.0 * convolve2d(stuffed, kernel, padding)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def property_cases(shape):
+    img = rand_img(sum(shape), shape)
+    img[0, 0, 0] = -0.0  # skipped zero taps must not change the sign of a zero sum
+    for size in PROPERTY_SIZES:
+        kernel = Kernel2D(np.asarray(Rng(60 + size).normal((size, size))))
+        for padding in ("reflect", "zero"):
+            yield img, kernel, padding
+
+
+@pytest.mark.parametrize("shape", PROPERTY_SHAPES)
+def test_polyphase_resamplers_equal_full_rate_formulas_bitwise(shape):
+    for img, kernel, padding in property_cases(shape):
+        for fast, full_rate in ((downsample2x_af, full_rate_downsample),
+                                (upsample2x_af, zero_stuffed_upsample)):
+            got = outcome(fast, img, kernel, padding)
+            want = outcome(full_rate, img, kernel, padding)
+            case = (fast.__name__, kernel.size, padding)
+            if want is ValueError:
+                assert got is ValueError, case
+            else:
+                assert got is not ValueError, case
+                assert got.shape == want.shape, case
+                assert got.tobytes() == want.tobytes(), case
+
+
+@pytest.mark.parametrize("shape", PROPERTY_SHAPES)
+def test_resamplers_match_loop_oracles(shape):
+    for img, kernel, padding in property_cases(shape):
+        for fn, oracle in ((convolve2d, conv2d_loops),
+                           (downsample2x_af, downsample_af_loops),
+                           (upsample2x_af, upsample_af_loops)):
+            got = outcome(fn, img, kernel, padding)
+            if got is ValueError:
+                continue
+            want = oracle(img, kernel.taps, padding)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12, (fn.__name__, kernel.size, padding)
+
+
+@pytest.mark.parametrize("fn, size, match", [
+    (upsample2x_af, 11, "kernel size 11 exceeds reflect-padding limit 9 for upsampling a 2 x 2 image"),
+    (wrapped_activation, 11,
+     "kernel size 11 exceeds reflect-padding limit 9 for upsampling a 2 x 2 image"),
+    (downsample2x_af, 7, "kernel size 7 exceeds reflect-padding limit 5 for a 2 x 2 image"),
+    (convolve2d, 7, "kernel size 7 exceeds reflect-padding limit 5 for a 2 x 2 image"),
+], ids=("upsample", "wrapped", "downsample", "convolve"))
+def test_reflect_limit_names_the_shape_passed(fn, size, match):
+    img = np.zeros((1, 2, 2))
+    kernel = Kernel2D(np.ones((size, size)))
+    with pytest.raises(ValueError, match=match):
+        fn(img, "relu", kernel) if fn is wrapped_activation else fn(img, kernel)
+
+
+WIDE = Kernel2D(np.ones((259, 259)))  # radius 129, past 2 * 64 for a 64 x 64 image
+
+
+@pytest.mark.parametrize("fn, kernel, padding", [
+    (upsample2x_af, K1N, "wrap"),
+    (upsample2x_af, WIDE, "reflect"),
+    (wrapped_activation, K1N, "wrap"),
+    (wrapped_activation, WIDE, "reflect"),
+    (convolve2d, K1N, "wrap"),
+    (downsample2x_af, K1N, "wrap"),
+], ids=("upsample-mode", "upsample-size", "wrapped-mode", "wrapped-size", "convolve-mode",
+        "downsample-mode"))
+def test_bad_padding_fails_before_allocating(fn, kernel, padding):
+    # the interleaved grid alone would take four times the input's bytes
+    img = np.zeros((1, 64, 64))
+    args = (img, "relu", kernel, padding) if fn is wrapped_activation else (img, kernel, padding)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="padding"):
+            fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < img.nbytes
+
+
+def test_naive_upsample_equals_two_dimensional_gather_bitwise():
+    for shape in ((1, 2, 2), (1, 3, 5), (2, 7, 4), (3, 5, 9), (1, 2, 11), (2, 9, 2)):
+        img = rand_img(63, shape)
+        C, H, W = shape
+        u = np.arange(2 * H) * (H - 1) / (2 * H - 1)
+        v = np.arange(2 * W) * (W - 1) / (2 * W - 1)
+        want = _bilinear_apply(img, _bilinear_plan(H, W, u[:, None], v[None, :]))
+        got = upsample2x_naive(img)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), shape
