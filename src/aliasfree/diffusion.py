@@ -19,18 +19,19 @@ Gaussian data the exact posterior-mean noise predictor has a closed
 form, which lets the whole chain be exercised without any training.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .resample import check_image
-from .rng import Rng, _box_muller, _steps
+from .rng import Rng, _box_muller, _steps, _whole
 from .rotation import FILL_MODES, _rotator
 
 SIGMA_MODES = ("beta", "zero")
-# Most floats, summed over all streams, that one block of pre-drawn noise
-# holds; a block holds at least one draw.
+# Most raw words, summed over all streams, that one block of pre-drawn
+# noise fetches (read only by _blocks); a block holds at least one draw.
 _NOISE_BLOCK = 1 << 14
 
 
@@ -52,7 +53,7 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02,
     T = 1 degenerates to the single value beta_start. sigma_mode "beta"
     sets sigma_t = sqrt(beta_t); "zero" makes the sampler deterministic.
     """
-    T = int(T)
+    T = _whole(T, "T")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
@@ -70,9 +71,7 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02,
 
 
 def _check_step(sched: NoiseSchedule, t: int) -> int:
-    if not float(t).is_integer():
-        raise ValueError(f"step t must be an integer, got {t}")
-    t = int(t)
+    t = _whole(t, "step t")
     if not 1 <= t <= sched.T:
         raise ValueError(f"step t must lie in 1..{sched.T}, got {t}")
     return t
@@ -155,6 +154,14 @@ class AnalyticGaussianDenoiser:
         return slope * (x_t - math.sqrt(self.sched.alpha_bar[int(t) - 1]) * self.data.mean)
 
 
+def _blocks(rng: Rng, count: int, width: int):
+    """Yield `count` draws of `width` raw words per stream, as rng._top53 blocks
+    of at most _NOISE_BLOCK words over all streams and at least one draw."""
+    per_block = max(1, _NOISE_BLOCK // (width * math.prod(rng._streams)))
+    for start in range(0, count, per_block):
+        yield rng._top53(min(per_block, count - start), width)
+
+
 def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
                   n_draws: int, rng: Rng) -> float:
     """Monte-Carlo noise-prediction objective.
@@ -163,22 +170,20 @@ def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
     1..T, and a fresh eps, then scores ||eps - predict(x_t, t)||^2. The
     per-draw order is x0 elements, then t, then eps elements, so a fixed
     seed pins the entire sequence. The words of many draws are fetched in
-    one block of bounded size; the stream, the counter and the loss are
-    those of data.draw, randint and normal called once per draw, and
-    predict still runs once per draw, in order. The rng must have a
-    single stream.
+    one block of at most _NOISE_BLOCK words; the stream, the counter and
+    the loss are those of data.draw, randint and normal called once per
+    draw, and predict still runs once per draw, in order. The rng must
+    have a single stream.
     """
-    n_draws = int(n_draws)
+    n_draws = _whole(n_draws, "n_draws")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     if rng._streams:
         raise ValueError("training_loss draws one sequence; it needs a single-stream Rng")
     n = math.prod(data.shape)
     words = n + n % 2
-    per_block = max(1, _NOISE_BLOCK // (2 * words + 1))
     total = 0.0
-    for start in range(0, n_draws, per_block):
-        top53 = rng._top53(min(per_block, n_draws - start), 2 * words + 1)
+    for top53 in _blocks(rng, n_draws, 2 * words + 1):
         x0 = data.mean + data.stddev * _box_muller(top53[:, :words], data.shape)
         steps = _steps(top53[:, words], sched.T).tolist()
         eps = _box_muller(top53[:, words + 1:], data.shape)
@@ -187,15 +192,6 @@ def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
             err = eps_k - denoiser.predict(x_t, t)
             total += float(np.sum(err * err))
     return total / n_draws
-
-
-def _noise(rng: Rng, shape: tuple, count: int, draw_size: int):
-    """Yield `count` consecutive normal(shape) draws of `draw_size` floats each
-    (over all streams), fetched in blocks of at most _NOISE_BLOCK floats."""
-    per_block = max(1, _NOISE_BLOCK // draw_size)
-    for start in range(0, count, per_block):
-        block = rng._normals(min(per_block, count - start), shape)
-        yield from np.moveaxis(block, block.ndim - len(shape) - 1, 0)
 
 
 def sample_classical(denoiser, sched: NoiseSchedule, shape, rng: Rng) -> np.ndarray:
@@ -211,10 +207,10 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     so the total applied rotation is phi; phi = 0 skips the turns. Draw
     order: the initial x_T, then one fresh noise image per step with
     t > 1 (whenever sigma_t is nonzero). The step noise is fetched in
-    blocks of bounded size; the stream, the counter and the output are
-    those of one normal(shape) call per step. A multi-stream rng runs one
-    trajectory per stream and returns shape (N,) + shape; the denoiser
-    then predicts on that whole batch.
+    blocks of at most _NOISE_BLOCK raw words over all streams; the stream,
+    the counter and the output are those of one normal(shape) call per
+    step. A multi-stream rng runs one trajectory per stream and returns
+    shape (N,) + shape; the denoiser then predicts on that whole batch.
 
     The rotation's gather indices and weights are built once per chain,
     not once per step; the output bytes are those of one rotate call per
@@ -231,7 +227,11 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
             raise ValueError(f"expected a C x H x W shape with positive sides, got {shape}")
         turn = _rotator(shape[1], shape[2], step_angle, fill)
     x = rng.normal(shape)
-    noise = _noise(rng, shape, int(np.count_nonzero(sched.sigma[1:])), x.size)
+    n = math.prod(shape)
+    # map frees each block of words once its normals exist: fewer live arrays, fewer page faults
+    blocks = _blocks(rng, int(np.count_nonzero(sched.sigma[1:])), n + n % 2)
+    noise = (z for normals in map(_box_muller, blocks, itertools.repeat(shape))
+             for z in np.moveaxis(normals, len(rng._streams), 0))
     for t in range(sched.T, 0, -1):
         i = t - 1
         eps_hat = denoiser.predict(x, t)

@@ -35,13 +35,14 @@ class FilterSpec:
     kernel_size: int = 3
 
     def __post_init__(self):
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(
-                f"kernel_size must be odd and >= 1, got {self.kernel_size}")
+        size = self.kernel_size
+        if not float(size).is_integer() or size < 1 or size % 2 == 0:
+            raise ValueError(f"kernel_size must be an odd whole number >= 1, got {size}")
+        object.__setattr__(self, "kernel_size", int(size))
         if not (0.0 < self.cutoff <= math.pi):
             raise ValueError(f"cutoff must lie in (0, pi], got {self.cutoff}")
-        if not (self.kaiser_beta >= 0.0):
-            raise ValueError(f"kaiser_beta must be >= 0, got {self.kaiser_beta}")
+        if not (0.0 <= self.kaiser_beta < math.inf):
+            raise ValueError(f"kaiser_beta must be finite and >= 0, got {self.kaiser_beta}")
 
     @property
     def radius(self) -> int:

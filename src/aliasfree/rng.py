@@ -9,9 +9,10 @@ elements is requested.
 
 Since a pair never spans two draws, any fixed sequence of draws can come
 from one `_raw` call and be split by draw. The samplers and the training
-loss in `diffusion` fetch their noise this way, in blocks of bounded size:
-the stream, the counter and every output bit are those of one `normal`
-or `randint` call per draw.
+loss in `diffusion` fetch their noise this way, through `_top53` in blocks
+of at most `diffusion._NOISE_BLOCK` raw words over all streams: the
+stream, the counter and every output bit are those of one `normal` or
+`randint` call per draw.
 """
 
 import math
@@ -48,6 +49,22 @@ def _steps(top53, high):
     return 1 + np.minimum(top53 / _TWO53 * high, high - 1).astype(np.int64)
 
 
+def _whole(value, name: str) -> int:
+    """`value` as an int; a ValueError naming it unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
+def _shape(shape) -> tuple:
+    """The one shape rule of `uniform` and `normal`: an int or a 1-D sequence
+    of sides, each a whole number >= 1, as a tuple of ints."""
+    sides = np.atleast_1d(shape)
+    if sides.ndim != 1 or not all(float(d).is_integer() and d >= 1 for d in sides):
+        raise ValueError(f"shape sides must be whole numbers >= 1, got {shape}")
+    return tuple(int(d) for d in sides)
+
+
 class Rng:
     """Seeded, reproducible stream of uniforms and standard normals.
 
@@ -61,7 +78,7 @@ class Rng:
         if len(self._streams) > 1 or 0 in self._streams:
             raise ValueError(f"seed must be an integer or a non-empty 1-D sequence, "
                              f"got shape {self._streams}")
-        seeds = [int(s) & _U64_MASK for s in (seed if self._streams else [seed])]
+        seeds = [_whole(s, "seed") & _U64_MASK for s in (seed if self._streams else [seed])]
         self._seed = np.array(seeds, dtype=np.uint64).reshape(self._streams + (1,))
         self._count = 0
 
@@ -70,37 +87,29 @@ class Rng:
             raise ValueError(f"draw count must be >= 1, got {n}")
         ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
+        # in place: few live temporaries, so the heap is not trimmed and refaulted per block
         z = self._seed + ks * _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
 
     def _top53(self, count: int, width: int) -> np.ndarray:
         """`count` rows of `width` raw words as top-53-bit floats: streams + (count, width)."""
         top53 = (self._raw(count * width) >> np.uint64(11)).astype(float)
         return top53.reshape(self._streams + (count, width))
 
-    def _normals(self, count: int, shape) -> np.ndarray:
-        """`count` consecutive normal(shape) draws from one `_raw` call.
-
-        The result has shape streams + (count,) + shape and is bit for bit
-        the stack of `count` normal(shape) calls, which leave the counter
-        where this one does. `shape` is a tuple of ints.
-        """
-        n = math.prod(shape)
-        if n < 1:
-            raise ValueError(f"shape must hold at least one element, got {shape}")
-        return _box_muller(self._top53(count, n + n % 2), shape)
-
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws in [0, 1) with 53-bit resolution."""
-        shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
+        shape = _shape(shape)
         u = self._top53(1, math.prod(shape)) / _TWO53
         return u.reshape(self._streams + shape) if shape or self._streams else u.item()
 
     def randint(self, high: int) -> int:
         """Uniform integer in {1, ..., high} from one raw word (see `_steps`)."""
-        high = int(high)
+        high = _whole(high, "high")
         if high < 1:
             raise ValueError(f"high must be >= 1, got {high}")
         if self._streams:
@@ -109,5 +118,6 @@ class Rng:
 
     def normal(self, shape) -> np.ndarray:
         """Standard normal draws via Box-Muller (see `_box_muller`)."""
-        shape = tuple(int(d) for d in np.atleast_1d(shape))
-        return self._normals(1, shape).reshape(self._streams + shape)
+        shape = _shape(shape)
+        n = math.prod(shape)
+        return _box_muller(self._top53(1, n + n % 2), shape).reshape(self._streams + shape)

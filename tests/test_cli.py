@@ -308,6 +308,8 @@ def test_sample_rejects_channel_count_before_sampling(tmp_path, monkeypatch, cap
     (["kernel", "--cutoff", "nan"], 2),
     # 1: a nonzero angle for the classical sampler
     (["sample", "--config", "classical", "--phi", "1"], 1),
+    # 1: a non-finite Kaiser beta
+    (["kernel", "--beta", "inf"], 1),
 ])
 def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)

@@ -56,6 +56,9 @@ def test_schedule_validation():
         linear_schedule(10, 0.0, 0.01)
     with pytest.raises(ValueError):
         linear_schedule(10, 0.1, 1.0)
+    with pytest.raises(ValueError, match="got 2.5"):
+        linear_schedule(2.5)
+    assert linear_schedule(3.0).T == linear_schedule(np.int64(3)).T == 3
 
 
 def test_schedule_arrays_read_only():
@@ -411,3 +414,40 @@ def test_training_loss_rejects_multi_stream_rng_before_any_work():
         training_loss(den, d, s, 4, rng)
     assert rng._count == 0
     assert den.calls == []
+
+
+def test_training_loss_rejects_fractional_n_draws_before_any_work():
+    d = GaussianDataSpec(mean=0.3, stddev=0.05, shape=(1, 4, 4))
+    s = linear_schedule(10)
+    den = Recorder(ZeroDenoiser())
+    rng = Rng(1)
+    with pytest.raises(ValueError, match="got 2.5"):
+        training_loss(den, d, s, 2.5, rng)
+    assert rng._count == 0
+    assert den.calls == []
+    assert training_loss(den, d, s, 2.0, Rng(1)) == training_loss(den, d, s, 2, Rng(1))
+
+
+@pytest.mark.parametrize("bound", [diffusion._NOISE_BLOCK, 59])
+@pytest.mark.parametrize("seed", [0, [4, 5, 6]])
+def test_noise_blocks_respect_the_bound(bound, seed, monkeypatch):
+    # words fetched by each _top53 call holding more than one draw, over all streams
+    fetched = []
+    top53 = Rng._top53
+
+    def recording(self, count, width):
+        if count > 1:
+            fetched.append(count * width * math.prod(self._streams))
+        return top53(self, count, width)
+
+    monkeypatch.setattr(Rng, "_top53", recording)
+    monkeypatch.setattr(diffusion, "_NOISE_BLOCK", bound)
+    # odd sizes draw one word more per stream than they hold floats
+    for shape in ((1, 1, 1), (1, 3, 3), (1, 8, 8)):
+        s = linear_schedule(300)
+        data = GaussianDataSpec(0.3, 0.05, shape)
+        sample_rotated(AnalyticGaussianDenoiser(data, s), s, shape, 0.0, Rng(seed))
+        if not isinstance(seed, list):
+            training_loss(ZeroDenoiser(), data, s, 300, Rng(seed))
+    assert fetched, "no block held more than one draw"
+    assert max(fetched) <= bound

@@ -128,6 +128,16 @@ def test_spec_validation():
         FilterSpec(kaiser_beta=-0.5, normalized=True)
     with pytest.raises(ValueError):
         FilterSpec(kaiser_beta=float("nan"), normalized=True)
+    with pytest.raises(ValueError, match="got inf"):
+        FilterSpec(kaiser_beta=float("inf"), normalized=True)
+    with pytest.raises(ValueError, match="got 3.5"):
+        FilterSpec(kaiser_beta=1.0, normalized=True, kernel_size=3.5)
+    # an integral float or numpy integer size is the same spec as the int
+    for size in (5.0, np.int64(5)):
+        spec = FilterSpec(kaiser_beta=1.0, normalized=True, kernel_size=size)
+        assert type(spec.kernel_size) is int
+        assert design_kernel(spec) == design_kernel(
+            FilterSpec(kaiser_beta=1.0, normalized=True, kernel_size=5))
 
 
 def test_kernel2d_validation():

@@ -1,7 +1,9 @@
-"""Every name imported into a module of the package is used there.
+"""Every name imported into a module of the package is used there, and
+every private helper defined in the package is used somewhere in it.
 
 No linter ships with the project, so this stands in for the unused-import
-check. __init__.py is skipped: its imports are the public re-exports.
+and dead-code checks. __init__.py is skipped by the import check: its
+imports are the public re-exports.
 """
 
 import ast
@@ -32,3 +34,27 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def private_definitions(tree):
+    """Private module-level functions and classes, and private methods."""
+    defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    defs += [m for c in tree.body if isinstance(c, ast.ClassDef)
+             for m in c.body if isinstance(m, ast.FunctionDef)]
+    return {d.name for d in defs if d.name.startswith("_") and not d.name.startswith("__")}
+
+
+def referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")]
+    used = {name for tree in trees for name in referenced_names(tree)}
+    dead = sorted(private_definitions(ast.parse(path.read_text())) - used)
+    assert dead == [], f"{path.name} defines private helpers nothing uses: {dead}"

@@ -119,6 +119,39 @@ def test_validation():
         Rng(1).normal((0,))
     with pytest.raises(ValueError):
         Rng(1).uniform((0,))
+    # whole-number arguments are not truncated
+    with pytest.raises(ValueError, match="got 2.7"):
+        Rng(1).randint(2.7)
+    with pytest.raises(ValueError, match="got 1.5"):
+        Rng(1.5)
+    with pytest.raises(ValueError, match="got 1.5"):
+        Rng([2, 1.5])
+    # integral floats and numpy integers still work
+    assert Rng(2).randint(3.0) == Rng(2).randint(np.int64(3)) == Rng(2).randint(3)
+    assert np.array_equal(Rng(1.0).normal((4,)), Rng(1).normal((4,)))
+    assert np.array_equal(Rng(np.array([1.0, 2.0])).normal((4,)), Rng([1, 2]).normal((4,)))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+@pytest.mark.parametrize("seed", [5, [5, 6]])
+def test_shape_forms_equal_the_tuple_form_bitwise(kind, seed):
+    for shape, want in [(np.int64(3), (3,)), (np.array([3]), (3,)), (3, (3,)),
+                        (np.array([2, 3]), (2, 3)), ([np.int32(2), 3.0], (2, 3))]:
+        got_rng, want_rng = Rng(seed), Rng(seed)
+        got = getattr(got_rng, kind)(shape)
+        assert got.shape == np.shape(seed) + want
+        assert got.tobytes() == getattr(want_rng, kind)(want).tobytes()
+        assert got_rng._count == want_rng._count
+
+
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+@pytest.mark.parametrize("shape", [(-2, -3), (2.5,), (2, 0), 0, -1, (float("nan"),),
+                                   (float("inf"), 2), np.zeros((2, 2), dtype=int) + 1])
+def test_bad_shapes_raise_before_any_draw(kind, shape):
+    rng = Rng([3, 4])
+    with pytest.raises(ValueError, match="shape"):
+        getattr(rng, kind)(shape)
+    assert rng._count == 0
 
 
 def test_multi_stream_rows_equal_single_streams():
