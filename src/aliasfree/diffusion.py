@@ -99,7 +99,7 @@ class GaussianDataSpec:
     def __post_init__(self):
         if not (self.stddev > 0.0):
             raise ValueError(f"stddev must be > 0, got {self.stddev}")
-        shape = tuple(int(d) for d in self.shape)
+        shape = tuple(_whole(d, "shape side") for d in self.shape)
         if len(shape) != 3 or min(shape) < 1:
             raise ValueError(f"shape must be a positive C x H x W triple, got {self.shape}")
         object.__setattr__(self, "shape", shape)
@@ -214,11 +214,11 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
 
     The rotation's gather indices and weights are built once per chain,
     not once per step; the output bytes are those of one rotate call per
-    step. A non-finite phi, an unknown fill and, for a nonzero phi, a
-    shape that is not C x H x W with positive sides are rejected before
-    any draw or predict call.
+    step. A fractional shape side, a non-finite phi, an unknown fill and,
+    for a nonzero phi, a shape that is not C x H x W with positive sides
+    are rejected before any draw or predict call.
     """
-    shape = tuple(int(d) for d in shape)
+    shape = tuple(_whole(d, "shape side") for d in shape)
     if fill not in FILL_MODES:
         raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
     step_angle = float(phi) / sched.T

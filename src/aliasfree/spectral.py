@@ -27,7 +27,7 @@ from .activation import apply_pointwise, wrapped_activation
 from .filter_design import HALF_PI, FilterSpec, Kernel2D, design_kernel
 from .resample import (check_image, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
-from .rng import Rng
+from .rng import Rng, _whole
 from .rotation import rotate
 
 PIPELINE_KINDS = ("A", "B", "C", "D")
@@ -47,7 +47,7 @@ def dft2(img) -> np.ndarray:
 
 def spectrum_freqs(N: int) -> np.ndarray:
     """Angular frequency of each centered-DFT bin: 2 pi k / N, k = -N//2 .. N//2 - 1."""
-    N = int(N)
+    N = _whole(N, "N")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     return 2.0 * np.pi * (np.arange(N) - N // 2) / N
@@ -59,7 +59,7 @@ def freq_response(kernel: Kernel2D, N: int) -> np.ndarray:
     The kernel is embedded at the center of an otherwise zero N x N
     field; the DC bin of the result equals the tap sum.
     """
-    N = int(N)
+    N = _whole(N, "N")
     if N < kernel.size:
         raise ValueError(f"N = {N} is smaller than the kernel size {kernel.size}")
     field = np.zeros((N, N))
@@ -107,8 +107,8 @@ def band_limited_corpus(count: int = 8, size: int = 64, seed: int = 2024) -> np.
     the resampling cutoff means any above-cutoff energy seen after
     processing was created by the pipeline under test, not carried in.
     """
-    count = int(count)
-    size = int(size)
+    count = _whole(count, "count")
+    size = _whole(size, "size")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if size < 16 or size % 2:

@@ -45,6 +45,13 @@ def jinc_series_60(x):
     return float(mp.mpf(j1_series_60(x)) / mp.mpf(float(x)))
 
 
+def erf_error_ulps(x, got):
+    """|got - erf(x)| in units in the last place of erf(x), by mpmath at 40 digits."""
+    with mp.workdps(40):
+        exact = mp.erf(mp.mpf(float(x)))
+        return float(abs(mp.mpf(float(got)) - exact) / math.ulp(float(exact)))
+
+
 def pad_index(n, size, mode):
     """Resolve an out-of-range index under a border rule."""
     if 0 <= n < size:

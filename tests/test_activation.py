@@ -1,4 +1,7 @@
 import math
+import platform
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -6,9 +9,42 @@ import pytest
 
 from aliasfree import (FilterSpec, apply_pointwise, design_kernel, gelu,
                        relu, wrapped_activation)
+from aliasfree.activation import _BLOCK, _erf
 from aliasfree.rng import Rng
 
+from _oracles import erf_error_ulps
+
 K1N = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
+
+# Since Python 3.11, math.erf is the C library's erf, and glibc's is the
+# fdlibm code that _erf ports in the same operation order. Other libms
+# (musl, macOS, Windows) round differently, so only on glibc can the bits
+# be required to match; the mpmath oracle below holds on any libm.
+ON_GLIBC = platform.libc_ver()[0] == "glibc" and sys.version_info >= (3, 11)
+glibc_only = pytest.mark.skipif(not ON_GLIBC, reason="math.erf is glibc's only there")
+
+# 2^-28, 0.84375, 1.25, 1/0.35, glibc's high-word switch just above it, 6
+BOUNDARIES = (2.0 ** -28, 0.84375, 1.25, 1 / 0.35, float.fromhex("0x1.6db6ep+1"), 6.0)
+# 2.8571431781744407 lies between 1/0.35 and glibc's switch, where the two
+# erfc fits round erf apart
+INSIDE = (1e-300, 1e-10, 3e-9, 0.1, 0.5, 0.8, 0.9, 1.0, 1.2, 1.5, 2.0, 2.8,
+          2.8571431781744407, 3.0, 4.0, 5.9, 6.5, 10.0, 30.0, 1e300)
+# k * 2^-1074 for k = 4, 35 and 43 round apart under x + efx*x unscaled
+SUBNORMALS = tuple(k * 5e-324 for k in range(1, 65)) + (
+    1e-320, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0))
+
+
+def _gelu_math(values):
+    """gelu by its formula with math.erf per element."""
+    v = np.asarray(values, dtype=float)
+    erf = np.fromiter(map(math.erf, (v * (1.0 / math.sqrt(2.0))).ravel()), float, v.size)
+    return v * 0.5 * (1.0 + erf.reshape(v.shape))
+
+
+def _finite_edges():
+    below = tuple(np.nextafter(b, 0.0) for b in BOUNDARIES)
+    values = INSIDE + BOUNDARIES + below + SUBNORMALS
+    return np.array([s * v for v in values for s in (1.0, -1.0)] + [0.0, -0.0])
 
 
 def test_relu_values():
@@ -22,6 +58,77 @@ def test_gelu_values_against_erf_oracle():
     for x in (-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 2.5):
         want = float(mp.mpf(x) * 0.5 * (1 + mp.erf(mp.mpf(x) / mp.sqrt(2))))
         assert abs(float(gelu(np.array(x))) - want) <= 1e-14
+
+
+def test_erf_is_within_one_ulp_of_mpmath():
+    # 2^-30 reaches the |x| < 2^-28 branch; 0.5, 2 and 8 cover the others
+    x = np.concatenate([Rng(11).normal(400) * scale for scale in (2.0 ** -30, 0.5, 2.0, 8.0)])
+    a = np.abs(x)
+    edges = (0.0, 2.0 ** -28, 0.84375, 1.25, 1 / 0.35, 6.0, np.inf)
+    assert all(np.any((lo <= a) & (a < hi)) for lo, hi in zip(edges, edges[1:]))
+    got = _erf(x)
+    worst = max(erf_error_ulps(xi, gi) for xi, gi in zip(x, got))
+    assert worst <= 1.0
+
+
+@glibc_only
+def test_erf_and_gelu_equal_math_erf_bitwise_on_branches_and_edges():
+    x = _finite_edges()
+    want_erf = np.array([math.erf(v) for v in x])
+    small = np.full(100, 0.3)  # a block whose other values take the first fit alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _erf(x).tobytes() == want_erf.tobytes()
+        for xi, want in zip(x, want_erf):
+            small[50] = xi
+            assert _erf(small)[50].tobytes() == want.tobytes(), xi
+        for v in (x, x * math.sqrt(2.0)):
+            assert gelu(v).tobytes() == _gelu_math(v).tobytes()
+
+
+def test_erf_keeps_the_sign_of_zero_and_saturates():
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, 30.0, -30.0, 1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _erf(x)
+    assert np.array_equal(np.signbit(got), np.signbit(x))
+    assert np.array_equal(got[4:], [1.0, -1.0, 1.0, -1.0])
+    assert np.array_equal(got[2:4], x[2:4])  # erf(x) = x (1 + 0.128...) rounds back to x
+
+
+def test_erf_and_gelu_of_nan_and_infinities():
+    x = np.array([np.nan, np.inf, -np.inf])
+    got = _erf(x)
+    assert np.isnan(got[0]) and got[1] == 1.0 and got[2] == -1.0
+    with np.errstate(invalid="ignore"):
+        g = gelu(x)
+    assert np.isnan(g[0]) and g[1] == np.inf and np.isnan(g[2])
+
+
+@glibc_only
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+def test_gelu_bytes_across_block_boundaries(size, scale):
+    v = Rng(size).normal(size) * scale if size else np.zeros(0)
+    got = gelu(v)
+    assert got.shape == v.shape
+    assert got.tobytes() == _gelu_math(v).tobytes()
+
+
+@glibc_only
+def test_gelu_bytes_on_mixed_and_unmixed_blocks_and_other_layouts():
+    # block 0 stays inside the first fit; block 1 mixes every branch
+    unmixed = Rng(4).uniform(_BLOCK) * 1.1 + 0.05
+    mixed = Rng(5).normal(_BLOCK) * 4.0
+    v = np.concatenate([unmixed, mixed]).reshape(2, 128, _BLOCK // 128)
+    assert gelu(v).tobytes() == _gelu_math(v).tobytes()
+    for w in (v[:, ::3, 1::2], np.asfortranarray(v), np.arange(-40, 41).reshape(9, 9),
+              np.array(0.7), np.array(-0.0)):
+        got = gelu(w)
+        assert np.shape(got) == np.shape(w)
+        assert np.asarray(got).tobytes() == np.asarray(_gelu_math(w)).tobytes()
+    img = Rng(6).normal((3, 100, 100)) * 2.0
+    assert np.array_equal(apply_pointwise(img, "gelu"), gelu(img))
 
 
 def test_gelu_asymptotics():

@@ -386,6 +386,27 @@ def test_rotated_sampler_rejects_bad_phi_or_shape_before_any_work(phi, shape, ma
     assert den.calls == []
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_fractional_shape_sides_raise_before_any_work(phi):
+    den = Recorder(ZeroDenoiser())
+    rng = Rng(3)
+    with pytest.raises(ValueError, match="shape side must be a whole number, got 2.5"):
+        sample_rotated(den, linear_schedule(10), (1, 2.5, 3), phi, rng)
+    assert rng._count == 0
+    assert den.calls == []
+    with pytest.raises(ValueError, match="shape side must be a whole number, got 2.5"):
+        GaussianDataSpec(0.0, 1.0, (1, 2.5, 3))
+
+
+def test_whole_float_and_numpy_shape_sides_equal_int_sides():
+    s = linear_schedule(5)
+    want = sample_rotated(ZeroDenoiser(), s, (1, 4, 3), 0.3, Rng(2))
+    for shape in ((1.0, 4.0, 3.0), (np.int64(1), np.int32(4), 3)):
+        got = sample_rotated(ZeroDenoiser(), s, shape, 0.3, Rng(2))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert GaussianDataSpec(0.0, 1.0, shape).shape == (1, 4, 3)
+
+
 @pytest.mark.parametrize("per_block", [None, 1, 4, 7, 64])
 def test_training_loss_block_draws_match_per_draw_replay(per_block, monkeypatch):
     for shape in ((1, 3, 3), (3, 5, 7)):

@@ -10,6 +10,7 @@ from aliasfree import (FilterSpec, PipelineConfig, alias_energy,
                        downsample2x_naive, equivariance_error, freq_response,
                        parse_config_name, rotate, spectrum_freqs,
                        upsample2x_af, upsample2x_naive, wrapped_activation)
+from aliasfree import spectral
 from aliasfree.rng import Rng
 
 from _oracles import dft2_loops
@@ -161,6 +162,31 @@ def test_corpus_matches_per_image_construction():
     for i in range(count):
         img = np.fft.ifft2(np.fft.fft2(Rng(seed ^ i).normal((size, size))) * mask).real
         assert got[i, 0].tobytes() == (img * (0.8 / np.max(np.abs(img)))).tobytes()
+
+
+def test_fractional_sizes_raise_before_any_work(monkeypatch):
+    kernel = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
+
+    def no_work(*args):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(spectral, "Rng", no_work)
+    monkeypatch.setattr(spectral, "dft2", no_work)
+    for call, name in ((lambda: band_limited_corpus(2.5, 16, 1), "count"),
+                       (lambda: band_limited_corpus(2, 16.7, 1), "size"),
+                       (lambda: spectrum_freqs(4.7), "N"),
+                       (lambda: freq_response(kernel, 8.9), "N")):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            call()
+
+
+def test_whole_float_and_numpy_sizes_equal_int_sizes():
+    kernel = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
+    want = band_limited_corpus(2, 16, 1)
+    for count, size in ((2.0, 16.0), (np.int64(2), np.int32(16))):
+        assert band_limited_corpus(count, size, 1).tobytes() == want.tobytes()
+    assert spectrum_freqs(8.0).tobytes() == spectrum_freqs(8).tobytes()
+    assert freq_response(kernel, np.int64(8)).tobytes() == freq_response(kernel, 8).tobytes()
 
 
 def test_corpus_validation():
