@@ -115,14 +115,20 @@ def gelu(values) -> np.ndarray:
     erf is fdlibm's, ported from glibc's `s_erf.c` with glibc's term order
     and evaluated over the flattened input in blocks of 2^14 elements. On
     glibc every output equals the same formula with `math.erf` bitwise;
-    on any libm erf is within 1 ulp of the true value.
+    on any libm erf is within 1 ulp of the true value. gelu(-inf) is
+    -0.0, the limit, where the formula would give -inf * 0 = nan.
     """
     v = np.asarray(values, dtype=float)
     flat = v.ravel()
     out = np.empty(flat.size)
     for i in range(0, flat.size, _BLOCK):
         block = flat[i:i + _BLOCK]
-        out[i:i + _BLOCK] = block * 0.5 * (1.0 + _erf(block * _INV_SQRT2))
+        cdf2 = 1.0 + _erf(block * _INV_SQRT2)
+        try:
+            with np.errstate(invalid="raise"):  # only -inf * 0 is invalid here
+                out[i:i + _BLOCK] = block * 0.5 * cdf2
+        except FloatingPointError:  # a -inf: floored to the least double, it gives -0.0
+            out[i:i + _BLOCK] = np.maximum(block, np.finfo(float).min) * 0.5 * cdf2
     return out.reshape(v.shape)[()]  # a 0-d input gets a scalar back, as from a ufunc
 
 

@@ -19,20 +19,16 @@ Gaussian data the exact posterior-mean noise predictor has a closed
 form, which lets the whole chain be exercised without any training.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .resample import check_image
-from .rng import Rng, _box_muller, _steps, _whole
+from .rng import Rng, _whole
 from .rotation import FILL_MODES, _rotator
 
 SIGMA_MODES = ("beta", "zero")
-# Most raw words, summed over all streams, that one block of pre-drawn
-# noise fetches (read only by _blocks); a block holds at least one draw.
-_NOISE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -154,14 +150,6 @@ class AnalyticGaussianDenoiser:
         return slope * (x_t - math.sqrt(self.sched.alpha_bar[int(t) - 1]) * self.data.mean)
 
 
-def _blocks(rng: Rng, count: int, width: int):
-    """Yield `count` draws of `width` raw words per stream, as rng._top53 blocks
-    of at most _NOISE_BLOCK words over all streams and at least one draw."""
-    per_block = max(1, _NOISE_BLOCK // (width * math.prod(rng._streams)))
-    for start in range(0, count, per_block):
-        yield rng._top53(min(per_block, count - start), width)
-
-
 def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
                   n_draws: int, rng: Rng) -> float:
     """Monte-Carlo noise-prediction objective.
@@ -169,25 +157,19 @@ def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
     Each draw samples x0 from the data distribution, a step t uniform on
     1..T, and a fresh eps, then scores ||eps - predict(x_t, t)||^2. The
     per-draw order is x0 elements, then t, then eps elements, so a fixed
-    seed pins the entire sequence. The words of many draws are fetched in
-    one block of at most _NOISE_BLOCK words; the stream, the counter and
-    the loss are those of data.draw, randint and normal called once per
-    draw, and predict still runs once per draw, in order. The rng must
-    have a single stream.
+    seed pins the entire sequence. The rng fetches the words of many draws
+    in one block (see `Rng._draws`); the stream, the counter and the loss
+    are those of data.draw, randint and normal called once per draw, and
+    predict still runs once per draw, in order. The rng must have a single
+    stream.
     """
     n_draws = _whole(n_draws, "n_draws")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    if rng._streams:
-        raise ValueError("training_loss draws one sequence; it needs a single-stream Rng")
-    n = math.prod(data.shape)
-    words = n + n % 2
     total = 0.0
-    for top53 in _blocks(rng, n_draws, 2 * words + 1):
-        x0 = data.mean + data.stddev * _box_muller(top53[:, :words], data.shape)
-        steps = _steps(top53[:, words], sched.T).tolist()
-        eps = _box_muller(top53[:, words + 1:], data.shape)
-        for x0_k, t, eps_k in zip(x0, steps, eps):
+    for x0, steps, eps in rng._draws(n_draws, data.shape, sched.T, data.shape):
+        x0 = data.mean + data.stddev * x0
+        for x0_k, t, eps_k in zip(x0, steps.tolist(), eps):
             x_t = forward_noise(x0_k, t, eps_k, sched)
             err = eps_k - denoiser.predict(x_t, t)
             total += float(np.sum(err * err))
@@ -206,11 +188,11 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     After every reverse step, including t = 1, the state turns by phi / T,
     so the total applied rotation is phi; phi = 0 skips the turns. Draw
     order: the initial x_T, then one fresh noise image per step with
-    t > 1 (whenever sigma_t is nonzero). The step noise is fetched in
-    blocks of at most _NOISE_BLOCK raw words over all streams; the stream,
-    the counter and the output are those of one normal(shape) call per
-    step. A multi-stream rng runs one trajectory per stream and returns
-    shape (N,) + shape; the denoiser then predicts on that whole batch.
+    t > 1 (whenever sigma_t is nonzero). The rng fetches the step noise
+    in blocks of many steps (see `Rng._draws`); the stream, the counter
+    and the output are those of one normal(shape) call per step. A
+    multi-stream rng runs one trajectory per stream and returns shape
+    (N,) + shape; the denoiser then predicts on that whole batch.
 
     The rotation's gather indices and weights are built once per chain,
     not once per step; the output bytes are those of one rotate call per
@@ -226,12 +208,9 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
         if len(shape) != 3 or min(shape) < 1:
             raise ValueError(f"expected a C x H x W shape with positive sides, got {shape}")
         turn = _rotator(shape[1], shape[2], step_angle, fill)
-    x = rng.normal(shape)
-    n = math.prod(shape)
-    # map frees each block of words once its normals exist: fewer live arrays, fewer page faults
-    blocks = _blocks(rng, int(np.count_nonzero(sched.sigma[1:])), n + n % 2)
-    noise = (z for normals in map(_box_muller, blocks, itertools.repeat(shape))
-             for z in np.moveaxis(normals, len(rng._streams), 0))
+    x = rng.normal(shape)  # also rejects a zero side, which _draws would divide by
+    noise = (z for (block,) in rng._draws(int(np.count_nonzero(sched.sigma[1:])), shape)
+             for z in block)
     for t in range(sched.T, 0, -1):
         i = t - 1
         eps_hat = denoiser.predict(x, t)

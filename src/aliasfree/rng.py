@@ -7,14 +7,15 @@ a raw word; normals come from Box-Muller pairs consumed in row-major
 element order, with the trailing spare discarded when an odd number of
 elements is requested.
 
-Since a pair never spans two draws, any fixed sequence of draws can come
-from one `_raw` call and be split by draw. The samplers and the training
-loss in `diffusion` fetch their noise this way, through `_top53` in blocks
-of at most `diffusion._NOISE_BLOCK` raw words over all streams: the
-stream, the counter and every output bit are those of one `normal` or
-`randint` call per draw.
+Since a pair never spans two draws, any run of draws can come from one
+`_raw` call and be split by draw. `Rng` fetches every normal and integer
+draw this way, through `_draws` in blocks of at most `_NOISE_BLOCK` raw
+words over all streams: `normal` and `randint` take one draw, and the
+samplers and the training loss in `diffusion` take many. The stream, the
+counter and every output bit are those of one call per draw.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,9 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53 = float(1 << 53)
+# Most raw words, summed over all streams, that one block of `_draws`
+# fetches; a block holds at least one draw.
+_NOISE_BLOCK = 1 << 14
 
 
 def _box_muller(top53, shape) -> np.ndarray:
@@ -41,12 +45,6 @@ def _box_muller(top53, shape) -> np.ndarray:
     out[..., 0::2] = radius * np.cos(angle)
     out[..., 1::2] = radius * np.sin(angle)
     return out[..., :math.prod(shape)].reshape(top53.shape[:-1] + shape)
-
-
-def _steps(top53, high):
-    """Integers in {1, ..., high} from top-53-bit words: with u = word / 2^53 in [0, 1),
-    each is 1 + min(floor(u * high), high - 1)."""
-    return 1 + np.minimum(top53 / _TWO53 * high, high - 1).astype(np.int64)
 
 
 def _whole(value, name: str) -> int:
@@ -108,16 +106,30 @@ class Rng:
         return u.reshape(self._streams + shape) if shape or self._streams else u.item()
 
     def randint(self, high: int) -> int:
-        """Uniform integer in {1, ..., high} from one raw word (see `_steps`)."""
+        """Uniform integer in {1, ..., high} from one raw word: with u = word / 2^53
+        in [0, 1), it is 1 + min(floor(u * high), high - 1). Single-stream only."""
         high = _whole(high, "high")
         if high < 1:
             raise ValueError(f"high must be >= 1, got {high}")
-        if self._streams:
-            raise ValueError("randint draws one integer; it needs a single-stream Rng")
-        return _steps(self._top53(1, 1), high).item()
+        return next(self._draws(1, high))[0].item()
 
     def normal(self, shape) -> np.ndarray:
         """Standard normal draws via Box-Muller (see `_box_muller`)."""
-        shape = _shape(shape)
-        n = math.prod(shape)
-        return _box_muller(self._top53(1, n + n % 2), shape).reshape(self._streams + shape)
+        return next(self._draws(1, _shape(shape)))[0][0]
+
+    def _draws(self, count: int, *parts):
+        """Yield `count` draws of one value per part, in blocks of at least one draw
+        and at most _NOISE_BLOCK raw words over all streams. A tuple part is a
+        shape of normals, (draws,) + streams + shape per block; an int part `high`
+        is a step as `randint` draws it, (draws,) per block, and needs a
+        single-stream Rng."""
+        if self._streams and not all(isinstance(p, tuple) for p in parts):
+            raise ValueError("an integer draw is one number; it needs a single-stream Rng")
+        words = [math.prod(p) + math.prod(p) % 2 if isinstance(p, tuple) else 1 for p in parts]
+        bounds = list(itertools.accumulate(words, initial=0))  # whole pairs, or one word
+        per_block = max(1, _NOISE_BLOCK // (bounds[-1] * math.prod(self._streams)))
+        for done in range(0, count, per_block):
+            top53 = np.moveaxis(self._top53(min(per_block, count - done), bounds[-1]), -2, 0)
+            yield tuple(_box_muller(top53[..., a:b], p) if isinstance(p, tuple) else
+                        1 + np.minimum(top53[..., a] / _TWO53 * p, p - 1).astype(np.int64)
+                        for p, a, b in zip(parts, bounds, bounds[1:]))

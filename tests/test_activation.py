@@ -100,9 +100,15 @@ def test_erf_and_gelu_of_nan_and_infinities():
     x = np.array([np.nan, np.inf, -np.inf])
     got = _erf(x)
     assert np.isnan(got[0]) and got[1] == 1.0 and got[2] == -1.0
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         g = gelu(x)
-    assert np.isnan(g[0]) and g[1] == np.inf and np.isnan(g[2])
+        assert np.isnan(gelu(np.full(3, np.nan))).all()
+        # finite values sharing a block with -inf keep their bytes
+        finite = np.array([-9.0, -1.0, 0.5])
+        assert gelu(np.append(finite, -np.inf))[:3].tobytes() == gelu(finite).tobytes()
+    assert np.isnan(g[0]) and g[1] == np.inf
+    assert g[2] == 0.0 and math.copysign(1.0, g[2]) == -1.0
 
 
 @glibc_only

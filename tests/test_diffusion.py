@@ -7,7 +7,7 @@ from aliasfree import (FILL_MODES, AnalyticGaussianDenoiser, ConstantDenoiser,
                        GaussianDataSpec, ZeroDenoiser, forward_noise,
                        linear_schedule, rotate, sample_classical,
                        sample_rotated, training_loss)
-from aliasfree import diffusion
+from aliasfree import rng as rng_module
 from aliasfree.rng import Rng
 
 from _oracles import sample_rotated_per_step, training_loss_per_draw
@@ -339,7 +339,7 @@ def test_sampler_block_noise_matches_per_step_replay(per_block, monkeypatch):
         for seed in (0, [4, 5, 6]):
             streams = len(seed) if isinstance(seed, list) else 1
             bound = _bound_for(per_block, streams * math.prod(shape))
-            monkeypatch.setattr(diffusion, "_NOISE_BLOCK", bound)
+            monkeypatch.setattr(rng_module, "_NOISE_BLOCK", bound)
             for s in scheds:
                 den = AnalyticGaussianDenoiser(GaussianDataSpec(0.3, 0.05, shape), s)
                 for phi in (0.0, 0.7):
@@ -376,6 +376,8 @@ def test_rotated_sampler_matches_per_step_rotate_replay(fill):
     (0.3, (1, 1, 8, 8), "C x H x W"),
     (0.3, (1, 0, 8), "C x H x W"),
     (0.3, (0, 8, 8), "C x H x W"),
+    (0.0, (1, 0, 8), "shape"),
+    (0.0, (0, 8, 8), "shape"),
 ])
 def test_rotated_sampler_rejects_bad_phi_or_shape_before_any_work(phi, shape, match):
     den = Recorder(ZeroDenoiser())
@@ -411,7 +413,7 @@ def test_whole_float_and_numpy_shape_sides_equal_int_sides():
 def test_training_loss_block_draws_match_per_draw_replay(per_block, monkeypatch):
     for shape in ((1, 3, 3), (3, 5, 7)):
         words = 2 * math.prod(shape) + 2 * (math.prod(shape) % 2) + 1
-        monkeypatch.setattr(diffusion, "_NOISE_BLOCK", _bound_for(per_block, words))
+        monkeypatch.setattr(rng_module, "_NOISE_BLOCK", _bound_for(per_block, words))
         data = GaussianDataSpec(0.3, 0.05, shape)
         for s in (linear_schedule(12), linear_schedule(12, sigma_mode="zero"),
                   linear_schedule(1)):
@@ -449,7 +451,7 @@ def test_training_loss_rejects_fractional_n_draws_before_any_work():
     assert training_loss(den, d, s, 2.0, Rng(1)) == training_loss(den, d, s, 2, Rng(1))
 
 
-@pytest.mark.parametrize("bound", [diffusion._NOISE_BLOCK, 59])
+@pytest.mark.parametrize("bound", [rng_module._NOISE_BLOCK, 59])
 @pytest.mark.parametrize("seed", [0, [4, 5, 6]])
 def test_noise_blocks_respect_the_bound(bound, seed, monkeypatch):
     # words fetched by each _top53 call holding more than one draw, over all streams
@@ -462,7 +464,7 @@ def test_noise_blocks_respect_the_bound(bound, seed, monkeypatch):
         return top53(self, count, width)
 
     monkeypatch.setattr(Rng, "_top53", recording)
-    monkeypatch.setattr(diffusion, "_NOISE_BLOCK", bound)
+    monkeypatch.setattr(rng_module, "_NOISE_BLOCK", bound)
     # odd sizes draw one word more per stream than they hold floats
     for shape in ((1, 1, 1), (1, 3, 3), (1, 8, 8)):
         s = linear_schedule(300)

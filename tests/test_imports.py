@@ -1,5 +1,6 @@
-"""Every name imported into a module of the package is used there, and
-every private helper defined in the package is used somewhere in it.
+"""Every name imported into a module of the package is used there, every
+private helper defined in the package is used somewhere in it, and a
+module imports another module's private names only from an allow-list.
 
 No linter ships with the project, so this stands in for the unused-import
 and dead-code checks. __init__.py is skipped by the import check: its
@@ -58,3 +59,18 @@ def test_every_private_helper_is_used(path):
     used = {name for tree in trees for name in referenced_names(tree)}
     dead = sorted(private_definitions(ast.parse(path.read_text())) - used)
     assert dead == [], f"{path.name} defines private helpers nothing uses: {dead}"
+
+
+# The private names each module may import from the rest of the package;
+# the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
+PRIVATE_IMPORTS = {"diffusion.py": {"_whole", "_rotator"}, "spectral.py": {"_whole"}}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_imports_are_on_the_allow_list(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "aliasfree")
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == PRIVATE_IMPORTS.get(path.name, set()), path.name

@@ -169,8 +169,10 @@ def test_multi_stream_rows_equal_single_streams():
 
 
 def test_multi_stream_randint_and_seed_validation():
-    with pytest.raises(ValueError):
-        Rng([1, 2]).randint(6)
+    rng = Rng([1, 2])
+    with pytest.raises(ValueError, match="single-stream"):
+        rng.randint(6)
+    assert rng._count == 0
     for bad in ([], [[1, 2]], np.zeros((2, 2), dtype=int)):
         with pytest.raises(ValueError):
             Rng(bad)
