@@ -79,13 +79,9 @@ def parse_denoiser_spec(text: str):
             if not math.isfinite(number):
                 raise ValueError(f"denoiser argument {item!r} is not finite")
             args[key.strip()] = number
-    if kind == "zero":
-        expected = set()
-    elif kind == "constant":
-        expected = {"v"}
-    elif kind == "gaussian":
-        expected = {"mu", "sigma0"}
-    else:
+    # each kind and the argument names it takes
+    expected = {"zero": set(), "constant": {"v"}, "gaussian": {"mu", "sigma0"}}.get(kind)
+    if expected is None:
         raise ValueError(f"unknown denoiser kind {kind!r}")
     if set(args) != expected:
         raise ValueError(

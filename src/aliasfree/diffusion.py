@@ -93,8 +93,10 @@ class GaussianDataSpec:
     shape: tuple
 
     def __post_init__(self):
-        if not (self.stddev > 0.0):
-            raise ValueError(f"stddev must be > 0, got {self.stddev}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not (0.0 < self.stddev < math.inf):
+            raise ValueError(f"stddev must be finite and > 0, got {self.stddev}")
         shape = tuple(_whole(d, "shape side") for d in self.shape)
         if len(shape) != 3 or min(shape) < 1:
             raise ValueError(f"shape must be a positive C x H x W triple, got {self.shape}")
@@ -116,6 +118,8 @@ class ConstantDenoiser:
 
     def __init__(self, value: float):
         self.value = float(value)
+        if not math.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value}")
 
     def predict(self, x_t, t):
         return np.full_like(np.asarray(x_t, dtype=float), self.value)

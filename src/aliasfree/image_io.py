@@ -11,9 +11,9 @@ import numpy as np
 
 from .resample import check_image
 
-RASTER_FORMATS = ("P5", "P6")
-
 _FORMAT_CHANNELS = {"P5": 1, "P6": 3}
+_CHANNEL_FORMATS = {c: fmt for fmt, c in _FORMAT_CHANNELS.items()}
+RASTER_FORMATS = tuple(_FORMAT_CHANNELS)
 _WHITESPACE = b" \t\r\n"
 
 
@@ -82,26 +82,14 @@ def read_raster(data: bytes) -> np.ndarray:
     return byte_to_float(np.moveaxis(pixels, 2, 0))
 
 
-def write_raster(img, fmt: str = None) -> bytes:
-    """Encode a float tensor as P5 (1 channel) or P6 (3 channels).
-
-    With fmt omitted the channel count picks the format. Supplying a
-    format that disagrees with the channel count is an error.
-    """
+def write_raster(img) -> bytes:
+    """Encode a float tensor in the format its channel count picks from
+    the format table: 1 channel gives P5, 3 give P6, and any other count
+    is an error."""
     arr = check_image(img)
     C, H, W = arr.shape
-    if fmt is None:
-        if C == 1:
-            fmt = "P5"
-        elif C == 3:
-            fmt = "P6"
-        else:
-            raise ValueError(f"raster output needs 1 or 3 channels, got {C}")
-    if fmt not in RASTER_FORMATS:
-        raise ValueError(f"unknown raster format {fmt!r}")
-    if _FORMAT_CHANNELS[fmt] != C:
-        raise ValueError(f"format {fmt} carries {_FORMAT_CHANNELS[fmt]} "
-                         f"channel(s), image has {C}")
+    if C not in _CHANNEL_FORMATS:
+        raise ValueError(f"raster output needs 1 or 3 channels, got {C}")
     payload = np.ascontiguousarray(np.moveaxis(float_to_byte(arr), 0, 2))
-    header = f"{fmt}\n{W} {H}\n255\n".encode("ascii")
+    header = f"{_CHANNEL_FORMATS[C]}\n{W} {H}\n255\n".encode("ascii")
     return header + payload.tobytes()

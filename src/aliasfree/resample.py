@@ -128,10 +128,11 @@ def downsample2x_naive(img) -> np.ndarray:
     return arr.reshape(C, H // 2, 2, W // 2, 2).max(axis=(2, 4))
 
 
-def _doubling_plan(n: int):
-    """Source indices and weights of align-corners linear doubling of n samples."""
-    # integer numerators keep the endpoint coordinates exact after division
-    src = np.arange(2 * n) * (n - 1) / (2 * n - 1)
+def _linear_plan(src, n: int):
+    """Linear interpolation of n samples at coordinates `src`, clipped to
+    [0, n - 1]: the lower neighbour i0, the upper one min(i0 + 1, n - 1),
+    and their weights 1 - f and f, with f the fraction of src past i0."""
+    src = np.clip(src, 0.0, n - 1)
     i0 = np.floor(src).astype(int)
     f = src - i0
     return i0, np.minimum(i0 + 1, n - 1), 1.0 - f, f
@@ -147,8 +148,9 @@ def upsample2x_naive(img) -> np.ndarray:
     C, H, W = arr.shape
     if H < 2 or W < 2:
         raise ValueError(f"bilinear doubling needs H, W >= 2, got {H} x {W}")
-    r0, r1, wr0, wr1 = _doubling_plan(H)
-    c0, c1, wc0, wc1 = _doubling_plan(W)
+    # integer numerators keep the endpoint coordinates exact after division
+    r0, r1, wr0, wr1 = _linear_plan(np.arange(2 * H) * (H - 1) / (2 * H - 1), H)
+    c0, c1, wc0, wc1 = _linear_plan(np.arange(2 * W) * (W - 1) / (2 * W - 1), W)
     # columns at the H input rows, then rows: each output is the same blend
     # of the same four samples as a two-dimensional bilinear gather
     cols = wc0 * arr.take(c0, axis=2) + wc1 * arr.take(c1, axis=2)

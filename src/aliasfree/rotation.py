@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .resample import check_image
+from .resample import _linear_plan, check_image
 
 FILL_MODES = ("replicate", "zero")
 
@@ -30,16 +30,9 @@ def _snap(v: float) -> float:
 def _bilinear_plan(H: int, W: int, src_r, src_c):
     """Flat gather indices and blend weights for bilinear samples of an
     H x W grid at broadcast (src_r, src_c), clamped to the grid."""
-    src_r = np.clip(src_r, 0.0, H - 1)
-    src_c = np.clip(src_c, 0.0, W - 1)
-    r0 = np.floor(src_r).astype(int)
-    c0 = np.floor(src_c).astype(int)
-    fr = src_r - r0
-    fc = src_c - c0
-    row0 = r0 * W
-    row1 = np.minimum(r0 + 1, H - 1) * W
-    c1 = np.minimum(c0 + 1, W - 1)
-    return (row0 + c0, row0 + c1, row1 + c0, row1 + c1), (1.0 - fc, fc, 1.0 - fr, fr)
+    r0, r1, wr0, wr1 = _linear_plan(src_r, H)
+    c0, c1, wc0, wc1 = _linear_plan(src_c, W)
+    return (r0 * W + c0, r0 * W + c1, r1 * W + c0, r1 * W + c1), (wc0, wc1, wr0, wr1)
 
 
 def _bilinear_apply(arr: np.ndarray, plan) -> np.ndarray:

@@ -151,25 +151,17 @@ def config_name(config: PipelineConfig) -> str:
 
 
 def parse_config_name(name: str) -> PipelineConfig:
-    """Inverse of config_name, accepting names like "A", "B-2", "D-1N"."""
-    parts = str(name).strip().split("-")
-    if parts[0] not in PIPELINE_KINDS:
-        raise ValueError(f"bad pipeline name {name!r}")
-    if len(parts) == 1:
-        if parts[0] != "A":
-            raise ValueError(f"pipeline {parts[0]} needs a filter suffix, got {name!r}")
-        return PipelineConfig("A")
-    if len(parts) != 2 or parts[0] == "A" or not parts[1]:
-        raise ValueError(f"bad pipeline name {name!r}")
-    tail = parts[1]
+    """Inverse of config_name for names like "A", "B-2", "D-1N"; the kind,
+    filter and beta are checked by PipelineConfig and FilterSpec."""
+    kind, sep, tail = str(name).strip().partition("-")
+    if not sep:
+        return PipelineConfig(kind)
     normalized = tail.endswith("N")
-    if normalized:
-        tail = tail[:-1]
     try:
-        beta = float(tail)
+        beta = float(tail[:-1] if normalized else tail)
     except ValueError:
         raise ValueError(f"bad filter beta in pipeline name {name!r}") from None
-    return PipelineConfig(parts[0], FilterSpec(kaiser_beta=beta, normalized=normalized))
+    return PipelineConfig(kind, FilterSpec(kaiser_beta=beta, normalized=normalized))
 
 
 def apply_pipeline(config: PipelineConfig, img) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import math
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from aliasfree import (FilterSpec, PipelineConfig, band_limited_corpus,
                        design_kernel, equivariance_error, kernel_from_text,
                        linear_schedule, read_raster, sample_classical,
                        write_raster)
-from aliasfree.cli import main, parse_angle, parse_denoiser_spec, parse_shape
+from aliasfree.cli import (build_parser, main, parse_angle, parse_denoiser_spec,
+                          parse_shape)
 from aliasfree.diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                                  GaussianDataSpec)
 from aliasfree.rng import Rng
@@ -244,6 +246,18 @@ def test_exit_codes(tmp_path):
 def test_help_exits_zero():
     assert run("--help") == 0
     assert run("sample", "--help") == 0
+
+
+def test_cli_settable_values():
+    # a ratchet on the CLI surface: a new flag changes these counts, and
+    # the change that adds it says why
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in sub._actions)
+              for name, sub in subs.choices.items()}
+    assert counts == {"kernel": 5, "freq": 6, "resample": 9, "activate": 9,
+                      "rotate": 4, "sample": 12, "analyze": 8}
+    assert sum(counts.values()) == 53
 
 
 def test_module_entry_point(tmp_path):

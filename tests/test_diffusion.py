@@ -106,6 +106,17 @@ def test_gaussian_data_spec():
         GaussianDataSpec(mean=0.0, stddev=0.0, shape=(1, 8, 8))
     with pytest.raises(ValueError):
         GaussianDataSpec(mean=0.0, stddev=1.0, shape=(8, 8))
+    for mean, stddev, field in ((math.nan, 1.0, "mean"), (math.inf, 1.0, "mean"),
+                                (-math.inf, 1.0, "mean"), (0.0, math.inf, "stddev"),
+                                (0.0, math.nan, "stddev")):
+        with pytest.raises(ValueError, match=field):
+            GaussianDataSpec(mean=mean, stddev=stddev, shape=(1, 8, 8))
+
+
+def test_constant_denoiser_rejects_non_finite_values():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="value"):
+            ConstantDenoiser(value)
 
 
 def test_analytic_denoiser_is_zero_at_the_data_mean():

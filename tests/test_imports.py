@@ -63,7 +63,8 @@ def test_every_private_helper_is_used(path):
 
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
-PRIVATE_IMPORTS = {"diffusion.py": {"_whole", "_rotator"}, "spectral.py": {"_whole"}}
+PRIVATE_IMPORTS = {"diffusion.py": {"_whole", "_rotator"}, "rotation.py": {"_linear_plan"},
+                   "spectral.py": {"_whole"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -203,6 +203,9 @@ def test_config_names_round_trip():
         PipelineConfig("C", FilterSpec(kaiser_beta=0.0, normalized=True)),
         PipelineConfig("D", FilterSpec(kaiser_beta=1.0, normalized=True)),
         PipelineConfig("D", FilterSpec(kaiser_beta=1.5, normalized=True)),
+        # betas whose repr carries an exponent, and so a "-"
+        PipelineConfig("D", FilterSpec(kaiser_beta=1e-05, normalized=True)),
+        PipelineConfig("B", FilterSpec(kaiser_beta=2.5e-07, normalized=False)),
     ]
     for config in cases:
         assert parse_config_name(config_name(config)) == config
@@ -220,6 +223,9 @@ def test_config_name_validation():
         parse_config_name("A-1N")
     with pytest.raises(ValueError):
         parse_config_name("D-xN")
+    for name in ("A-1", "D-", "D-infN"):
+        with pytest.raises(ValueError):
+            parse_config_name(name)
     with pytest.raises(ValueError):
         PipelineConfig("A", FilterSpec(kaiser_beta=1.0, normalized=True))
     with pytest.raises(ValueError):
