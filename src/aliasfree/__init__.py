@@ -15,8 +15,8 @@ from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
 from .filter_design import (HALF_PI, FilterSpec, Kernel2D, design_kernel,
                             jinc_tap, kaiser_weight, kernel_from_text,
                             kernel_to_text)
-from .image_io import (RASTER_FORMATS, RasterParseError, byte_to_float,
-                       float_to_byte, read_raster, write_raster)
+from .image_io import (RasterParseError, byte_to_float, float_to_byte,
+                       raster_format, read_raster, write_raster)
 from .resample import (PADDING_MODES, check_image, convolve2d, downsample2x_af,
                        downsample2x_naive, upsample2x_af, upsample2x_naive)
 from .rng import Rng

@@ -38,10 +38,10 @@ from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                         GaussianDataSpec, ZeroDenoiser, linear_schedule,
                         sample_rotated, SIGMA_MODES)
 from .filter_design import HALF_PI, FilterSpec, design_kernel, kernel_to_text
-from .image_io import read_raster, write_raster
+from .image_io import raster_format, read_raster, write_raster
 from .resample import (PADDING_MODES, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
-from .rng import Rng
+from .rng import Rng, _whole
 from .rotation import FILL_MODES, rotate
 from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
                        band_limited_corpus, config_name, equivariance_error,
@@ -60,10 +60,7 @@ def parse_shape(text: str) -> tuple:
     parts = text.lower().split("x")
     if len(parts) != 3:
         raise ValueError(f"shape must look like CxHxW, got {text!r}")
-    dims = tuple(int(p) for p in parts)
-    if min(dims) < 1:
-        raise ValueError(f"shape dimensions must be >= 1, got {text!r}")
-    return dims
+    return tuple(_whole(int(p), "shape side", 1) for p in parts)
 
 
 def parse_denoiser_spec(text: str):
@@ -73,7 +70,8 @@ def parse_denoiser_spec(text: str):
     if arg_text:
         for item in arg_text.split(","):
             key, sep, value = item.partition("=")
-            if not sep or not key:
+            # float() also reads "1_0" as 10; no denoiser value is written that way
+            if not sep or not key or "_" in value:
                 raise ValueError(f"bad denoiser argument {item!r}")
             number = float(value)
             if not math.isfinite(number):
@@ -122,11 +120,9 @@ def cmd_freq(args) -> dict:
     kernel = design_kernel(_filter_spec(args))
     mag = freq_response(kernel, args.N)
     ks = np.arange(args.N) - args.N // 2
-    rows = [("k1", "k2", "magnitude")]
-    for i, k1 in enumerate(ks):
-        for j, k2 in enumerate(ks):
-            rows.append((k1, k2, repr(float(mag[i, j]))))
-    return {args.out: _csv(rows)}
+    rows = zip(np.repeat(ks, args.N).tolist(), np.tile(ks, args.N).tolist(),
+               map(repr, mag.ravel().tolist()))
+    return {args.out: _csv([("k1", "k2", "magnitude"), *rows])}
 
 
 def cmd_resample(args) -> dict:
@@ -157,15 +153,12 @@ def cmd_rotate(args) -> dict:
 def cmd_sample(args) -> dict:
     if args.config == "classical" and args.phi != 0.0:
         raise ValueError(f"--phi applies only to --config rotated, got {args.phi!r}")
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    if args.shape[0] not in (1, 3):
-        raise ValueError(f"sample writes 1 or 3 channels, got {args.shape[0]}")
+    _whole(args.n, "--n", 1)
+    _, ext = raster_format(args.shape[0])
     sched = linear_schedule(args.T, args.beta_start, args.beta_end, args.sigma_mode)
     denoiser = _build_denoiser(*args.denoiser, sched, args.shape)
     rng = Rng([args.seed ^ i for i in range(args.n)])
     xs = sample_rotated(denoiser, sched, args.shape, args.phi, rng, args.fill)
-    ext = "pgm" if args.shape[0] == 1 else "ppm"
     return {f"{args.out}-{i:03d}.{ext}": write_raster(x) for i, x in enumerate(xs)}
 
 

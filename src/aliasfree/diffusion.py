@@ -49,9 +49,7 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02,
     T = 1 degenerates to the single value beta_start. sigma_mode "beta"
     sets sigma_t = sqrt(beta_t); "zero" makes the sampler deterministic.
     """
-    T = _whole(T, "T")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _whole(T, "T", 1)
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
@@ -97,8 +95,8 @@ class GaussianDataSpec:
             raise ValueError(f"mean must be finite, got {self.mean}")
         if not (0.0 < self.stddev < math.inf):
             raise ValueError(f"stddev must be finite and > 0, got {self.stddev}")
-        shape = tuple(_whole(d, "shape side") for d in self.shape)
-        if len(shape) != 3 or min(shape) < 1:
+        shape = tuple(_whole(d, "shape side", 1) for d in self.shape)
+        if len(shape) != 3:
             raise ValueError(f"shape must be a positive C x H x W triple, got {self.shape}")
         object.__setattr__(self, "shape", shape)
 
@@ -167,9 +165,7 @@ def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
     predict still runs once per draw, in order. The rng must have a single
     stream.
     """
-    n_draws = _whole(n_draws, "n_draws")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    n_draws = _whole(n_draws, "n_draws", 1)
     total = 0.0
     for x0, steps, eps in rng._draws(n_draws, data.shape, sched.T, data.shape):
         x0 = data.mean + data.stddev * x0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _whole
 from .special_functions import bessel_i0, jinc
 
 HALF_PI = math.pi / 2.0
@@ -35,10 +36,10 @@ class FilterSpec:
     kernel_size: int = 3
 
     def __post_init__(self):
-        size = self.kernel_size
-        if not float(size).is_integer() or size < 1 or size % 2 == 0:
-            raise ValueError(f"kernel_size must be an odd whole number >= 1, got {size}")
-        object.__setattr__(self, "kernel_size", int(size))
+        size = _whole(self.kernel_size, "kernel_size", 1)
+        if size % 2 == 0:
+            raise ValueError(f"kernel_size must be odd, got {size}")
+        object.__setattr__(self, "kernel_size", size)
         if not (0.0 < self.cutoff <= math.pi):
             raise ValueError(f"cutoff must lie in (0, pi], got {self.cutoff}")
         if not (0.0 <= self.kaiser_beta < math.inf):
@@ -100,16 +101,14 @@ def design_kernel(spec: FilterSpec) -> Kernel2D:
     """Build the windowed kernel described by `spec`.
 
     Taps are jinc_tap(spec, n1, n2) * w(n1) * w(n2) with a separable
-    Kaiser window of extent L = kernel_size - 1. A normalized spec
+    Kaiser window of extent L = max(kernel_size - 1, 1); a size-1 kernel's
+    one weight is then I0(beta) / I0(beta) = 1. A normalized spec
     rescales the matrix to unit tap sum so constants pass unchanged.
     """
     r = spec.radius
     offsets = list(range(-r, r + 1))
-    if r > 0:
-        length = float(spec.kernel_size - 1)
-        window = {n: kaiser_weight(spec.kaiser_beta, n, length) for n in offsets}
-    else:
-        window = {0: 1.0}  # size-1 kernel, window support degenerates to a point
+    length = float(max(spec.kernel_size - 1, 1))
+    window = {n: kaiser_weight(spec.kaiser_beta, n, length) for n in offsets}
     taps = np.empty((spec.kernel_size, spec.kernel_size))
     for i, n1 in enumerate(offsets):
         for j, n2 in enumerate(offsets):

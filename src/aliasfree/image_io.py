@@ -11,9 +11,9 @@ import numpy as np
 
 from .resample import check_image
 
-_FORMAT_CHANNELS = {"P5": 1, "P6": 3}
-_CHANNEL_FORMATS = {c: fmt for fmt, c in _FORMAT_CHANNELS.items()}
-RASTER_FORMATS = tuple(_FORMAT_CHANNELS)
+# the one raster-format table: channel count -> (magic, file extension)
+_FORMATS = {1: ("P5", "pgm"), 3: ("P6", "ppm")}
+_MAGIC_CHANNELS = {magic: c for c, (magic, _) in _FORMATS.items()}
 _WHITESPACE = b" \t\r\n"
 
 
@@ -55,9 +55,9 @@ def read_raster(data: bytes) -> np.ndarray:
         raise TypeError(f"expected bytes, got {type(data).__name__}")
     data = bytes(data)
     magic = data[:2].decode("latin-1")
-    if magic not in _FORMAT_CHANNELS:
+    if magic not in _MAGIC_CHANNELS:
         raise RasterParseError(f"unknown magic {magic!r}", 0)
-    channels = _FORMAT_CHANNELS[magic]
+    channels = _MAGIC_CHANNELS[magic]
 
     width, pos, at = _parse_int(data, 2, "width")
     if width < 1:
@@ -82,14 +82,22 @@ def read_raster(data: bytes) -> np.ndarray:
     return byte_to_float(np.moveaxis(pixels, 2, 0))
 
 
+def raster_format(channels) -> tuple:
+    """The (magic, file extension) of the format for a channel count from
+    the format table: ("P5", "pgm") for 1, ("P6", "ppm") for 3, and a
+    ValueError for any other count."""
+    if channels not in _FORMATS:
+        raise ValueError(f"raster output needs {' or '.join(map(str, _FORMATS))} "
+                         f"channels, got {channels}")
+    return _FORMATS[channels]
+
+
 def write_raster(img) -> bytes:
-    """Encode a float tensor in the format its channel count picks from
-    the format table: 1 channel gives P5, 3 give P6, and any other count
-    is an error."""
+    """Encode a float tensor in the format `raster_format` picks from its
+    channel count."""
     arr = check_image(img)
     C, H, W = arr.shape
-    if C not in _CHANNEL_FORMATS:
-        raise ValueError(f"raster output needs 1 or 3 channels, got {C}")
+    magic, _ = raster_format(C)
     payload = np.ascontiguousarray(np.moveaxis(float_to_byte(arr), 0, 2))
-    header = f"{_CHANNEL_FORMATS[C]}\n{W} {H}\n255\n".encode("ascii")
+    header = f"{magic}\n{W} {H}\n255\n".encode("ascii")
     return header + payload.tobytes()

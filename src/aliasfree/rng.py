@@ -47,10 +47,15 @@ def _box_muller(top53, shape) -> np.ndarray:
     return out[..., :math.prod(shape)].reshape(top53.shape[:-1] + shape)
 
 
-def _whole(value, name: str) -> int:
-    """`value` as an int; a ValueError naming it unless it is a whole number."""
+def _whole(value, name: str, least: int | None = None) -> int:
+    """`value` as an int. The package's one rule for counts, sizes and shape
+    sides: a ValueError naming `value` unless it is a whole number (an int,
+    an integral float or a numpy integer) and, when `least` is given, at
+    least `least`."""
     if not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
     return int(value)
 
 
@@ -58,9 +63,9 @@ def _shape(shape) -> tuple:
     """The one shape rule of `uniform` and `normal`: an int or a 1-D sequence
     of sides, each a whole number >= 1, as a tuple of ints."""
     sides = np.atleast_1d(shape)
-    if sides.ndim != 1 or not all(float(d).is_integer() and d >= 1 for d in sides):
-        raise ValueError(f"shape sides must be whole numbers >= 1, got {shape}")
-    return tuple(int(d) for d in sides)
+    if sides.ndim != 1:
+        raise ValueError(f"shape must be an int or a 1-D sequence of sides, got {shape}")
+    return tuple(_whole(d, "shape side", 1) for d in sides)
 
 
 class Rng:
@@ -108,10 +113,7 @@ class Rng:
     def randint(self, high: int) -> int:
         """Uniform integer in {1, ..., high} from one raw word: with u = word / 2^53
         in [0, 1), it is 1 + min(floor(u * high), high - 1). Single-stream only."""
-        high = _whole(high, "high")
-        if high < 1:
-            raise ValueError(f"high must be >= 1, got {high}")
-        return next(self._draws(1, high))[0].item()
+        return next(self._draws(1, _whole(high, "high", 1)))[0].item()
 
     def normal(self, shape) -> np.ndarray:
         """Standard normal draws via Box-Muller (see `_box_muller`)."""

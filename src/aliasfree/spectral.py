@@ -47,9 +47,7 @@ def dft2(img) -> np.ndarray:
 
 def spectrum_freqs(N: int) -> np.ndarray:
     """Angular frequency of each centered-DFT bin: 2 pi k / N, k = -N//2 .. N//2 - 1."""
-    N = _whole(N, "N")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    N = _whole(N, "N", 1)
     return 2.0 * np.pi * (np.arange(N) - N // 2) / N
 
 
@@ -59,9 +57,7 @@ def freq_response(kernel: Kernel2D, N: int) -> np.ndarray:
     The kernel is embedded at the center of an otherwise zero N x N
     field; the DC bin of the result equals the tap sum.
     """
-    N = _whole(N, "N")
-    if N < kernel.size:
-        raise ValueError(f"N = {N} is smaller than the kernel size {kernel.size}")
+    N = _whole(N, "N", kernel.size)
     field = np.zeros((N, N))
     r = kernel.radius
     c = N // 2
@@ -107,12 +103,10 @@ def band_limited_corpus(count: int = 8, size: int = 64, seed: int = 2024) -> np.
     the resampling cutoff means any above-cutoff energy seen after
     processing was created by the pipeline under test, not carried in.
     """
-    count = _whole(count, "count")
-    size = _whole(size, "size")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if size < 16 or size % 2:
-        raise ValueError(f"size must be even and >= 16, got {size}")
+    count = _whole(count, "count", 1)
+    size = _whole(size, "size", 16)
+    if size % 2:
+        raise ValueError(f"size must be even, got {size}")
     kmax = math.ceil(0.2 * size) - 1  # largest k with 2 pi k / size < 0.4 pi
     ks = np.fft.fftfreq(size, d=1.0 / size).astype(int)
     keep = np.abs(ks) <= kmax
@@ -158,6 +152,8 @@ def parse_config_name(name: str) -> PipelineConfig:
         return PipelineConfig(kind)
     normalized = tail.endswith("N")
     try:
+        if "_" in tail:  # float() would read "1_0" as 10, which config_name never writes
+            raise ValueError
         beta = float(tail[:-1] if normalized else tail)
     except ValueError:
         raise ValueError(f"bad filter beta in pipeline name {name!r}") from None

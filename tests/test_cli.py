@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from aliasfree import (FilterSpec, PipelineConfig, band_limited_corpus,
-                       design_kernel, equivariance_error, kernel_from_text,
-                       linear_schedule, read_raster, sample_classical,
-                       write_raster)
+                       design_kernel, equivariance_error, freq_response,
+                       kernel_from_text, linear_schedule, read_raster,
+                       sample_classical, write_raster)
 from aliasfree.cli import (build_parser, main, parse_angle, parse_denoiser_spec,
                           parse_shape)
 from aliasfree.diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
@@ -51,7 +51,8 @@ def test_parse_denoiser_spec():
     assert kind == "gaussian" and args == {"mu": 0.3, "sigma0": 0.05}
     for bad in ("unknown", "constant", "gaussian:mu=0.3",
                 "constant:v=0.5,w=2", "gaussian:mu=x,sigma0=1", "zero:v=1",
-                "constant:v=nan", "gaussian:mu=inf,sigma0=1", "constant:v"):
+                "constant:v=nan", "gaussian:mu=inf,sigma0=1", "constant:v",
+                "constant:v=1_0"):
         with pytest.raises(ValueError):
             parse_denoiser_spec(bad)
 
@@ -83,6 +84,17 @@ def test_freq_command_csv(tmp_path):
         rows[(int(k1), int(k2))] = float(mag)
     assert rows[(0, 0)] == pytest.approx(1.0, abs=1e-12)  # normalized DC
     assert rows[(-4, -4)] < 0.1
+
+
+@pytest.mark.parametrize("N", [7, 8])
+def test_freq_csv_equals_the_cell_by_cell_rows(tmp_path, N):
+    out = tmp_path / "f.csv"
+    assert run("freq", "--beta", "1", "--size", "5", "--N", str(N), "--out", str(out)) == 0
+    mag = freq_response(design_kernel(FilterSpec(1.0, False, kernel_size=5)), N)
+    ks = range(-(N // 2), N - N // 2)
+    want = ["k1,k2,magnitude"] + [f"{k1},{k2},{float(mag[i, j])!r}"
+                                  for i, k1 in enumerate(ks) for j, k2 in enumerate(ks)]
+    assert out.read_text() == "\n".join(want) + "\n"
 
 
 def test_resample_commands(tmp_path):
@@ -299,6 +311,14 @@ def test_sample_rejects_channel_count_before_sampling(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sample_names_a_bad_trajectory_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)
+    code = run("sample", "--config", "classical", "--n", "0", "--out", str(tmp_path / "s"))
+    assert code == 1
+    assert "--n must be >= 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, code", [
     # 2: argparse rejects the command line before any command runs
     (["sample", "--config", "classical", "--shape", "2x8"], 2),
@@ -324,6 +344,8 @@ def test_sample_rejects_channel_count_before_sampling(tmp_path, monkeypatch, cap
     (["sample", "--config", "classical", "--phi", "1"], 1),
     # 1: a non-finite Kaiser beta
     (["kernel", "--beta", "inf"], 1),
+    # 2: a denoiser value float() would read with its underscore dropped
+    (["sample", "--config", "classical", "--denoiser", "constant:v=1_0"], 2),
 ])
 def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)

@@ -108,6 +108,16 @@ def test_size_one_kernel():
     assert kernel.taps[0, 0] == 1.0  # normalization forces the single tap to 1
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("normalized, tap", [(False, "0x1.921fb54442d18p-3"),
+                                             (True, "0x1.0000000000000p+0")])
+def test_size_one_taps_are_pinned(beta, normalized, tap):
+    # the one window weight, I0(beta) / I0(beta), is exactly 1 for every beta;
+    # the unnormalized tap is the jinc center (pi / 2)^2 / (4 pi) = pi / 8
+    kernel = design_kernel(FilterSpec(beta, normalized, kernel_size=1))
+    assert kernel.taps.tolist() == [[float.fromhex(tap)]]
+
+
 def test_cutoff_scaling():
     # center tap scales as cutoff^2 / (4 pi)
     for wc in (0.5, 1.0, math.pi / 2, math.pi):
@@ -116,7 +126,7 @@ def test_cutoff_scaling():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kernel_size must be odd, got 4"):
         FilterSpec(kaiser_beta=1.0, normalized=True, kernel_size=4)
     with pytest.raises(ValueError):
         FilterSpec(kaiser_beta=1.0, normalized=True, kernel_size=-3)

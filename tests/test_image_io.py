@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aliasfree import (RasterParseError, byte_to_float, float_to_byte,
-                       read_raster, write_raster)
+                       raster_format, read_raster, write_raster)
 from aliasfree.rng import Rng
 
 
@@ -62,6 +62,14 @@ def test_format_inference_and_mismatch():
     assert write_raster(rgb)[:2] == b"P6"
     with pytest.raises(ValueError):
         write_raster(np.zeros((2, 2, 2)))
+
+
+def test_raster_format_gives_magic_and_extension():
+    assert raster_format(1) == ("P5", "pgm")
+    assert raster_format(3) == ("P6", "ppm")
+    for channels in (0, 2, 4):
+        with pytest.raises(ValueError, match=f"needs 1 or 3 channels, got {channels}"):
+            raster_format(channels)
 
 
 def test_read_round_trip_both_formats():

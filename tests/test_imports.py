@@ -63,7 +63,8 @@ def test_every_private_helper_is_used(path):
 
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
-PRIVATE_IMPORTS = {"diffusion.py": {"_whole", "_rotator"}, "rotation.py": {"_linear_plan"},
+PRIVATE_IMPORTS = {"cli.py": {"_whole"}, "diffusion.py": {"_whole", "_rotator"},
+                   "filter_design.py": {"_whole"}, "rotation.py": {"_linear_plan"},
                    "spectral.py": {"_whole"}}
 
 
@@ -75,3 +76,13 @@ def test_private_imports_are_on_the_allow_list(path):
                and (node.level or (node.module or "").split(".")[0] == "aliasfree")
                for alias in node.names if alias.name.startswith("_")}
     assert private == PRIVATE_IMPORTS.get(path.name, set()), path.name
+
+
+def test_the_whole_number_rule_is_written_once():
+    """Counts, sizes and shape sides go through rng._whole, the one place
+    that asks whether a number is whole."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sum(text.count(".is_integer(") for text in sources.values()) == 1
+    whole = next(node for node in ast.parse(sources["rng.py"]).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_whole")
+    assert ".is_integer(" in ast.get_source_segment(sources["rng.py"], whole)

@@ -154,6 +154,13 @@ def test_bad_shapes_raise_before_any_draw(kind, shape):
     assert rng._count == 0
 
 
+def test_a_zero_side_is_named_before_any_draw():
+    rng = Rng(0)
+    with pytest.raises(ValueError, match="shape side must be >= 1, got 0"):
+        rng.normal((2, 0))
+    assert rng._count == 0
+
+
 def test_multi_stream_rows_equal_single_streams():
     seeds = [3, 2**64 - 1, -7]
     multi = Rng(seeds)

@@ -180,6 +180,25 @@ def test_fractional_sizes_raise_before_any_work(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda kernel: freq_response(kernel, 2), "N must be >= 3, got 2"),
+    (lambda kernel: spectrum_freqs(0), "N must be >= 1, got 0"),
+    (lambda kernel: band_limited_corpus(0, 16, 1), "count must be >= 1, got 0"),
+    (lambda kernel: band_limited_corpus(2, 8, 1), "size must be >= 16, got 8"),
+    (lambda kernel: band_limited_corpus(2, 17, 1), "size must be even, got 17"),
+])
+def test_sizes_below_their_least_raise_before_any_work(monkeypatch, call, message):
+    kernel = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
+
+    def no_work(*args):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(spectral, "Rng", no_work)
+    monkeypatch.setattr(spectral, "dft2", no_work)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(kernel)
+
+
 def test_whole_float_and_numpy_sizes_equal_int_sizes():
     kernel = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
     want = band_limited_corpus(2, 16, 1)
@@ -223,7 +242,7 @@ def test_config_name_validation():
         parse_config_name("A-1N")
     with pytest.raises(ValueError):
         parse_config_name("D-xN")
-    for name in ("A-1", "D-", "D-infN"):
+    for name in ("A-1", "D-", "D-infN", "D-1_0N", "B-1_0"):
         with pytest.raises(ValueError):
             parse_config_name(name)
     with pytest.raises(ValueError):
