@@ -7,9 +7,10 @@ command has succeeded, so a command that fails writes no file. Only sample
 takes --seed (default 0); analyze always measures its built-in seed-2024
 corpus. Angles are finite; a nonzero sample --phi needs --config rotated.
 Exit status is 0 on success, 2 when argparse rejects the command line
-(--seed on any other subcommand, a non-finite --denoiser value or angle),
-and 1 when a command rejects a value or an input while running (--T 0, a
-2-channel sample shape, classical sampling with --phi 1, an unreadable file).
+(--seed on any other subcommand, a non-finite --denoiser value or angle,
+a number written with an underscore such as --T 1_0), and 1 when a
+command rejects a value or an input while running (--T 0, a 2-channel
+sample shape, classical sampling with --phi 1, an unreadable file).
 
 Examples:
 
@@ -48,9 +49,22 @@ from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
                        freq_response)
 
 
+def _number(cast):
+    """`cast` (int or float) of text, refusing the "_" Python skips ("1_0" is 10)."""
+    def read(text: str):
+        if "_" in text:
+            raise ValueError(f"number {text!r} contains '_'")
+        return cast(text)
+    read.__name__ = cast.__name__  # argparse's message: "invalid int value: '1_0'"
+    return read
+
+
+_int, _float = _number(int), _number(float)
+
+
 def parse_angle(text: str) -> float:
     """Finite float radians, with the convenience token half-pi."""
-    angle = HALF_PI if text.strip() == "half-pi" else float(text)
+    angle = HALF_PI if text.strip() == "half-pi" else _float(text)
     if not math.isfinite(angle):
         raise ValueError(f"angle {text!r} is not finite")
     return angle
@@ -60,7 +74,7 @@ def parse_shape(text: str) -> tuple:
     parts = text.lower().split("x")
     if len(parts) != 3:
         raise ValueError(f"shape must look like CxHxW, got {text!r}")
-    return tuple(_whole(int(p), "shape side", 1) for p in parts)
+    return tuple(_whole(_int(p), "shape side", 1) for p in parts)
 
 
 def parse_denoiser_spec(text: str):
@@ -70,10 +84,9 @@ def parse_denoiser_spec(text: str):
     if arg_text:
         for item in arg_text.split(","):
             key, sep, value = item.partition("=")
-            # float() also reads "1_0" as 10; no denoiser value is written that way
-            if not sep or not key or "_" in value:
+            if not sep or not key:
                 raise ValueError(f"bad denoiser argument {item!r}")
-            number = float(value)
+            number = _float(value)
             if not math.isfinite(number):
                 raise ValueError(f"denoiser argument {item!r} is not finite")
             args[key.strip()] = number
@@ -187,12 +200,12 @@ def cmd_analyze(args) -> dict:
 
 
 def _add_filter_flags(parser, with_size=True):
-    parser.add_argument("--beta", type=float, default=1.0,
+    parser.add_argument("--beta", type=_float, default=1.0,
                         help="Kaiser window beta (default 1)")
     parser.add_argument("--normalized", action="store_true",
                         help="rescale kernel taps to unit sum")
     if with_size:
-        parser.add_argument("--size", type=int, default=3,
+        parser.add_argument("--size", type=_int, default=3,
                             help="odd kernel size (default 3)")
         parser.add_argument("--cutoff", type=parse_angle, default=HALF_PI,
                             help="angular cutoff in radians, or half-pi (default)")
@@ -221,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("freq", cmd_freq, "write a kernel magnitude response as CSV")
     _add_filter_flags(p)
-    p.add_argument("--N", type=int, default=64, help="DFT grid size (default 64)")
+    p.add_argument("--N", type=_int, default=64, help="DFT grid size (default 64)")
 
     p = command("resample", cmd_resample, "2x resample a raster image")
     p.add_argument("--in", dest="input", required=True, help="input PGM/PPM path")
@@ -246,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sample", cmd_sample, "draw reverse-diffusion samples as rasters")
     p.add_argument("--config", choices=("classical", "rotated"), required=True)
-    p.add_argument("--T", type=int, default=1000, help="number of steps (default 1000)")
-    p.add_argument("--beta-start", type=float, default=1e-4)
-    p.add_argument("--beta-end", type=float, default=0.02)
+    p.add_argument("--T", type=_int, default=1000, help="number of steps (default 1000)")
+    p.add_argument("--beta-start", type=_float, default=1e-4)
+    p.add_argument("--beta-end", type=_float, default=0.02)
     p.add_argument("--sigma-mode", choices=SIGMA_MODES, default="beta")
     p.add_argument("--shape", type=parse_shape, default=(1, 8, 8),
                    help="CxHxW sample shape (default 1x8x8)")
@@ -256,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=("gaussian", {"mu": 0.0, "sigma0": 1.0}),
                    help="zero | constant:v=V | gaussian:mu=M,sigma0=S "
                         "(default gaussian:mu=0,sigma0=1)")
-    p.add_argument("--n", type=int, default=1, help="number of trajectories")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--n", type=_int, default=1, help="number of trajectories")
+    p.add_argument("--seed", type=_int, default=0,
                    help="trajectory i uses the stream seeded seed XOR i (default 0)")
     p.add_argument("--phi", type=parse_angle, default=0.0,
                    help="total rotation; only --config rotated takes a nonzero angle")
@@ -270,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p, with_size=False)
     p.add_argument("--phi", type=parse_angle, default=math.pi / 4,
                    help="test rotation for the equivariance report")
-    p.add_argument("--count", type=int, default=8, help="corpus image count")
-    p.add_argument("--N", type=int, default=64, help="corpus image size")
+    p.add_argument("--count", type=_int, default=8, help="corpus image count")
+    p.add_argument("--N", type=_int, default=64, help="corpus image size")
 
     return parser
 

@@ -15,9 +15,10 @@ mirrors without repeating the edge sample (index -1 maps to index 1) and
 rejects kernels larger than 2 * min(H, W) + 1 for the grid it pads, the
 doubled grid when upsampling; zero padding accepts any kernel size.
 
-Only the samples that survive are computed: downsampling evaluates the
-kept outputs alone, upsampling never builds the interleaved zeros and
-sums only the taps that meet an original sample, and bilinear doubling
+One engine, `_filtered`, filters the input interleaved with up - 1 zeros
+and keeps every down-th output, summing each output phase only over the
+taps that meet an input sample: (up, down) is (1, 1) for convolve2d,
+(1, 2) for downsampling and (2, 1) for upsampling. Bilinear doubling
 interpolates columns, then rows. The output bytes are those of filtering
 at full rate and of a two-dimensional gather.
 """
@@ -45,33 +46,44 @@ def _require_even(arr):
     _, H, W = arr.shape
     if H % 2 or W % 2:
         raise ValueError(f"height and width must be even, got {H} x {W}")
+    return arr
 
 
-def _check_padding(padding, radius, H, W, up=False):
-    """Reject an unknown mode, and a reflect kernel too wide for an H x W
-    image, or for its doubled grid when `up`."""
+def _filtered(arr, kernel: Kernel2D, padding: str, up: int = 1, down: int = 1) -> np.ndarray:
+    """Filter each channel on its grid interleaved with up - 1 zeros, keep every
+    `down`-th row and column, and scale by up ** 2; one of up, down is 1."""
+    (C, H, W), r = arr.shape, kernel.radius
     if padding not in PADDING_MODES:
         raise ValueError(f"unknown padding mode {padding!r}")
-    limit = (2 if up else 1) * min(H, W)
-    if padding == "reflect" and radius > limit:
+    limit = up * min(H, W)
+    if padding == "reflect" and r > limit:
         raise ValueError(
-            f"kernel size {2 * radius + 1} exceeds reflect-padding limit "
-            f"{2 * limit + 1} for {'upsampling ' if up else ''}a {H} x {W} image")
-
-
-def _filtered(arr, kernel: Kernel2D, padding: str, step: int = 1) -> np.ndarray:
-    """Convolve each channel with `kernel` at every `step`-th row and column."""
-    C, H, W = arr.shape
-    r = kernel.radius
-    _check_padding(padding, r, H, W)
-    p = np.pad(arr, ((0, 0), (r, r), (r, r)),
-               mode="reflect" if padding == "reflect" else "constant")
-    out = np.zeros((C, H // step, W // step))
-    for di in range(kernel.size):
-        for dj in range(kernel.size):
-            # tap (i, j) = (di - r, dj - r) pairs with x shifted by (-i, -j)
-            block = p[:, 2 * r - di: 2 * r - di + H: step, 2 * r - dj: 2 * r - dj + W: step]
-            out += kernel.taps[di, dj] * block
+            f"kernel size {kernel.size} exceeds reflect-padding limit {2 * limit + 1} "
+            f"for {'upsampling ' if up > 1 else ''}a {H} x {W} image")
+    # Both border rules keep index parity on the interleaved grid: padded by r, its samples
+    # are the input padded by r // up before and ceil(r / up) after. At up = 2 reflect turns
+    # symmetric after; a padded index ramp of the interleaved axis gives that at any fold.
+    lo, hi = r // up, -(-r // up)
+    if padding == "reflect" and up > 1:
+        rows, cols = (np.pad(np.arange(up * n), r, mode="reflect")[r % up::up] // up
+                      for n in (H, W))
+        src = arr[:, rows[:, None], cols]
+    else:
+        src = np.pad(arr, ((0, 0), (lo, hi), (lo, hi)),
+                     mode="reflect" if padding == "reflect" else "constant")
+    out = np.empty((C, up * H, up * W)) if up > 1 else None
+    for phase in range(up * up):
+        a, b = divmod(phase, up)
+        # output phase (a, b) meets a sample only through the taps (di, dj)
+        # with di - r - a and dj - r - b divisible by up
+        acc = np.zeros((C, H // down, W // down))
+        for di in range((r + a) % up, kernel.size, up):
+            for dj in range((r + b) % up, kernel.size, up):
+                i, j = (r + a - di) // up + lo, (r + b - dj) // up + lo
+                acc += kernel.taps[di, dj] * src[:, i: i + H: down, j: j + W: down]
+        if up == 1:
+            return acc
+        out[:, a::up, b::up] = up * up * acc
     return out
 
 
@@ -82,48 +94,17 @@ def convolve2d(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
 
 def downsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
     """Low-pass filter, then keep even-index rows and columns."""
-    arr = check_image(img)
-    _require_even(arr)
-    return _filtered(arr, kernel, padding, step=2)
+    return _filtered(_require_even(check_image(img)), kernel, padding, down=2)
 
 
 def upsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
-    """Zero-interleave to double resolution, filter, and restore gain.
-
-    Original samples sit at even output indices; the factor 4 compensates
-    for the density of inserted zeros.
-    """
-    arr = check_image(img)
-    C, H, W = arr.shape
-    r, h = kernel.radius, kernel.radius // 2
-    _check_padding(padding, r, H, W, up=True)
-    # Both border rules keep index parity on the interleaved grid, so its even
-    # samples padded by r are the input padded by h before and r - h after:
-    # zeros, or reflect before and symmetric after, which a padded index ramp
-    # of the interleaved axis gives however often reflect folds.
-    if padding == "reflect":
-        rows, cols = (np.pad(np.arange(2 * n), r, mode="reflect")[r % 2::2] // 2
-                      for n in (H, W))
-        small = arr[:, rows[:, None], cols]
-    else:
-        small = np.pad(arr, ((0, 0), (h, r - h), (h, r - h)))
-    out = np.empty((C, 2 * H, 2 * W))
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        # output phase (a, b) meets the originals only through the taps
-        # (di, dj) with di - r - a and dj - r - b even
-        acc = np.zeros((C, H, W))
-        for di in range((r + a) % 2, kernel.size, 2):
-            for dj in range((r + b) % 2, kernel.size, 2):
-                i, j = (r + a - di) // 2 + h, (r + b - dj) // 2 + h
-                acc += kernel.taps[di, dj] * small[:, i: i + H, j: j + W]
-        out[:, a::2, b::2] = 4.0 * acc
-    return out
+    """Zero-interleave to double resolution, filter, and multiply by 4."""
+    return _filtered(check_image(img), kernel, padding, up=2)
 
 
 def downsample2x_naive(img) -> np.ndarray:
     """2x2 max pooling over disjoint blocks."""
-    arr = check_image(img)
-    _require_even(arr)
+    arr = _require_even(check_image(img))
     C, H, W = arr.shape
     return arr.reshape(C, H // 2, 2, W // 2, 2).max(axis=(2, 4))
 

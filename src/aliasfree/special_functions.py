@@ -71,8 +71,13 @@ def bessel_i0(x) -> float:
         terms.append(term)
         total += term
         k += 1
-    # all terms are positive; adding the small ones first limits roundoff
-    return math.fsum(reversed(terms))
+    try:  # all terms are positive; adding the small ones first limits roundoff
+        value = math.fsum(reversed(terms))  # inf once a single term overflows
+    except OverflowError:  # finite terms whose sum overflows past the largest double
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"bessel_i0({x!r}) exceeds the largest double")
+    return value
 
 
 def jinc(x) -> float:

@@ -31,7 +31,7 @@ def make_input(tmp_path, name="in.pgm", shape=(1, 16, 16), seed=5):
 def test_parse_angle():
     assert parse_angle("half-pi") == math.pi / 2
     assert parse_angle("0.25") == 0.25
-    for bad in ("quarter-pi", "nan", "inf", "-inf"):
+    for bad in ("quarter-pi", "nan", "inf", "-inf", "0_5"):
         with pytest.raises(ValueError):
             parse_angle(bad)
 
@@ -39,7 +39,7 @@ def test_parse_angle():
 def test_parse_shape():
     assert parse_shape("1x8x8") == (1, 8, 8)
     assert parse_shape("3X4X5") == (3, 4, 5)
-    for bad in ("8x8", "1x8x8x8", "0x8x8", "1xax8"):
+    for bad in ("8x8", "1x8x8x8", "0x8x8", "1xax8", "1x1_6x16"):
         with pytest.raises(ValueError):
             parse_shape(bad)
 
@@ -302,6 +302,14 @@ def _sampler_must_not_run(*args, **kwargs):
     raise AssertionError("the sampler ran on a command it should have rejected")
 
 
+def test_kernel_names_a_beta_past_the_largest_i0(tmp_path, capsys):
+    code = run("kernel", "--beta", "800", "--out", str(tmp_path / "k.txt"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "aliasfree: error: bessel_i0(800.0) exceeds the largest double\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_rejects_channel_count_before_sampling(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)
     code = run("sample", "--config", "rotated", "--T", "5", "--shape", "2x8x8",
@@ -346,6 +354,13 @@ def test_sample_names_a_bad_trajectory_count(tmp_path, monkeypatch, capsys):
     (["kernel", "--beta", "inf"], 1),
     # 2: a denoiser value float() would read with its underscore dropped
     (["sample", "--config", "classical", "--denoiser", "constant:v=1_0"], 2),
+    # 2: any other number written with an underscore
+    (["sample", "--config", "classical", "--T", "1_0"], 2),
+    (["sample", "--config", "classical", "--seed", "1_0"], 2),
+    (["kernel", "--size", "0_3"], 2),
+    (["kernel", "--beta", "1_0"], 2),
+    (["rotate", "--in", "in.pgm", "--phi", "0_5"], 2),
+    (["sample", "--config", "classical", "--shape", "1x1_6x16"], 2),
 ])
 def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)

@@ -86,3 +86,12 @@ def test_the_whole_number_rule_is_written_once():
     whole = next(node for node in ast.parse(sources["rng.py"]).body
                  if isinstance(node, ast.FunctionDef) and node.name == "_whole")
     assert ".is_integer(" in ast.get_source_segment(sources["rng.py"], whole)
+
+
+def test_the_tap_sum_is_written_once():
+    """convolve2d and both alias-free resamplers run one engine, _filtered,
+    whose one loop sums the kernel taps; nothing else checks the padding."""
+    source = (PACKAGE / "resample.py").read_text()
+    assert source.count("kernel.taps[") == 1
+    names = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert "_filtered" in names and "_check_padding" not in names

@@ -330,6 +330,29 @@ def test_bad_padding_fails_before_allocating(fn, kernel, padding):
     assert peak < img.nbytes
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", ((3, 64, 64), (1, 128, 128)))
+@pytest.mark.parametrize("padding", ("reflect", "zero"))
+def test_resamplers_hold_few_buffers(shape, padding):
+    # one phase accumulator at a time: upsampling reads about 1.9x its output's
+    # bytes, one accumulator for all four phases about 2.5x; downsampling
+    # returns its accumulator, about 1.8x its input's bytes, where a separate
+    # output beside it reads about 2.05x
+    img = rand_img(64, shape)
+    for size in (3, 7):
+        kernel = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True, kernel_size=size))
+        assert traced_peak(upsample2x_af, img, kernel, padding) < 2.25 * 4 * img.nbytes, size
+    assert traced_peak(downsample2x_af, img, K1N, padding) < 2.0 * img.nbytes
+
+
 def test_naive_upsample_equals_two_dimensional_gather_bitwise():
     for shape in ((1, 2, 2), (1, 3, 5), (2, 7, 4), (3, 5, 9), (1, 2, 11), (2, 9, 2)):
         img = rand_img(63, shape)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ def test_i0_known_values():
     assert abs(bessel_i0(1.0) - 1.2660658777520082) <= 1e-12
     assert bessel_i0(-2.5) == bessel_i0(2.5)
     assert bessel_i0(4.0) > bessel_i0(3.0) > 1.0
+
+
+def test_i0_past_the_largest_double_raises_naming_x():
+    assert math.isfinite(bessel_i0(713.98))
+    assert bessel_i0(-713.98) == bessel_i0(713.98)
+    # 713.99: finite terms whose sum overflows; 1e4 and up: a term overflows
+    for x in (713.99, 800.0, 1e4, 1e300, -800.0):
+        with pytest.raises(ValueError, match=re.escape(f"bessel_i0({x!r}) exceeds")):
+            bessel_i0(x)
 
 
 def test_jinc_against_series_oracle():
