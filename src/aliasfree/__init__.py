@@ -25,6 +25,6 @@ from .special_functions import bessel_i0, bessel_j1, jinc
 from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
                        apply_pipeline, band_limited_corpus, config_name,
                        dft2, equivariance_error, freq_response,
-                       parse_config_name, spectrum_freqs)
+                       parse_config_name, pipeline_stages, spectrum_freqs)
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ Exit status is 0 on success, 2 when argparse rejects the command line
 (--seed on any other subcommand, a non-finite --denoiser value or angle,
 a number written with an underscore such as --T 1_0), and 1 when a
 command rejects a value or an input while running (--T 0, a 2-channel
-sample shape, classical sampling with --phi 1, an unreadable file).
+sample shape, classical sampling with --phi 1, an unreadable file). A
+filter design_kernel rejects (--beta 800) exits 1 before any input is read.
 
 Examples:
 
@@ -34,19 +35,18 @@ import sys
 
 import numpy as np
 
-from .activation import ACTIVATIONS, apply_pointwise, wrapped_activation
+from .activation import ACTIVATIONS
 from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                         GaussianDataSpec, ZeroDenoiser, linear_schedule,
                         sample_rotated, SIGMA_MODES)
 from .filter_design import HALF_PI, FilterSpec, design_kernel, kernel_to_text
 from .image_io import raster_format, read_raster, write_raster
-from .resample import (PADDING_MODES, downsample2x_af, downsample2x_naive,
-                       upsample2x_af, upsample2x_naive)
+from .resample import PADDING_MODES
 from .rng import Rng, _whole
 from .rotation import FILL_MODES, rotate
 from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
                        band_limited_corpus, config_name, equivariance_error,
-                       freq_response)
+                       freq_response, pipeline_stages)
 
 
 def _number(cast):
@@ -139,23 +139,15 @@ def cmd_freq(args) -> dict:
 
 
 def cmd_resample(args) -> dict:
-    img = _read_image(args.input)
-    if args.mode == "naive":
-        out = downsample2x_naive(img) if args.dir == "down" else upsample2x_naive(img)
-    else:
-        resampler = downsample2x_af if args.dir == "down" else upsample2x_af
-        out = resampler(img, design_kernel(_filter_spec(args)), args.padding)
-    return {args.out: write_raster(out)}
+    config = PipelineConfig("B", _filter_spec(args)) if args.mode == "af" else PipelineConfig("A")
+    down, _, up = pipeline_stages(config, padding=args.padding)
+    return {args.out: write_raster((down if args.dir == "down" else up)(_read_image(args.input)))}
 
 
 def cmd_activate(args) -> dict:
-    img = _read_image(args.input)
-    if args.wrapped:
-        kernel = design_kernel(_filter_spec(args))
-        out = wrapped_activation(img, args.act, kernel, args.padding)
-    else:
-        out = apply_pointwise(img, args.act)
-    return {args.out: write_raster(out)}
+    config = PipelineConfig("C", _filter_spec(args)) if args.wrapped else PipelineConfig("A")
+    _, act, _ = pipeline_stages(config, args.act, args.padding)
+    return {args.out: write_raster(act(_read_image(args.input)))}
 
 
 def cmd_rotate(args) -> dict:
@@ -176,26 +168,21 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    corpus = band_limited_corpus(args.count, args.N)
     spec = FilterSpec(kaiser_beta=args.beta, normalized=args.normalized)
     if args.report == "alias":
-        kernel = design_kernel(spec)
-        rows = [("image", "naive_roundtrip", "af_roundtrip",
-                 "relu_alias", "wrapped_relu_alias")]
-        for i, img in enumerate(corpus):
+        # naive stages from pipeline A, alias-free ones from D
+        stages = [pipeline_stages(PipelineConfig("A")), pipeline_stages(PipelineConfig("D", spec))]
+        rows = [("image", "naive_roundtrip", "af_roundtrip", "relu_alias", "wrapped_relu_alias")]
+        for i, img in enumerate(band_limited_corpus(args.count, args.N)):
             scale = float(np.linalg.norm(img))
-            naive = upsample2x_naive(downsample2x_naive(img))
-            af = upsample2x_af(downsample2x_af(img, kernel), kernel)
-            rows.append((i,
-                         repr(float(np.linalg.norm(naive - img)) / scale),
-                         repr(float(np.linalg.norm(af - img)) / scale),
-                         repr(alias_energy(apply_pointwise(img, "relu"))),
-                         repr(alias_energy(wrapped_activation(img, "relu", kernel)))))
+            trips = [float(np.linalg.norm(up(down(img)) - img)) / scale for down, _, up in stages]
+            alias = [alias_energy(act(img)) for _, act, _ in stages]
+            rows.append((i, *map(repr, trips + alias)))
     else:
         config = PipelineConfig(args.pipeline, None if args.pipeline == "A" else spec)
-        rows = [("image", "config", "phi", "error")]
-        for i, err in enumerate(equivariance_error(config, corpus, args.phi)):
-            rows.append((i, config_name(config), repr(args.phi), repr(err)))
+        errors = equivariance_error(config, band_limited_corpus(args.count, args.N), args.phi)
+        rows = [("image", "config", "phi", "error")] + [
+            (i, config_name(config), repr(args.phi), repr(err)) for i, err in enumerate(errors)]
     return {args.out: _csv(rows)}
 
 

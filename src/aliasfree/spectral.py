@@ -5,20 +5,23 @@ frequency responses, the fraction of signal energy above a cutoff, a
 deterministic band-limited image corpus, and the four processing
 pipelines whose rotation equivariance gets compared.
 
-Pipelines pair one downsampler, one ReLU stage, and one upsampler at
-matched resolution; every filtering step pads by reflection:
+Pipelines pair one downsampler, one nonlinearity, and one upsampler; a
+kind picks naive or alias-free resamplers and a plain or wrapped one:
 
     A: naive down, plain ReLU, naive up
     B: alias-free down, plain ReLU, alias-free up
     C: naive down, wrapped ReLU, naive up
     D: alias-free down, wrapped ReLU, alias-free up
 
+`pipeline_stages` alone turns a kind into its (down, act, up) operators.
+A config designs its kernel when built, before any image is touched.
 Names like "D-1N" append the filter beta and an N for a normalized
 kernel; config A carries no filter at all.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,7 +33,9 @@ from .resample import (check_image, downsample2x_af, downsample2x_naive,
 from .rng import Rng, _whole
 from .rotation import rotate
 
-PIPELINE_KINDS = ("A", "B", "C", "D")
+# kind -> (alias-free resamplers?, wrapped nonlinearity?)
+_KINDS = {"A": (False, False), "B": (True, False), "C": (False, True), "D": (True, True)}
+PIPELINE_KINDS = tuple(_KINDS)
 
 
 def dft2(img) -> np.ndarray:
@@ -120,18 +125,20 @@ def band_limited_corpus(count: int = 8, size: int = 64, seed: int = 2024) -> np.
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One pipeline kind plus the filter its resamplers use (None for A)."""
+    """One pipeline kind, the filter its stages use (None for A) and its kernel."""
 
     kind: str
     filter_spec: Optional[FilterSpec] = None
+    kernel: Optional[Kernel2D] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in PIPELINE_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown pipeline kind {self.kind!r}")
-        if self.kind == "A" and self.filter_spec is not None:
-            raise ValueError("pipeline A uses no filter")
-        if self.kind != "A" and self.filter_spec is None:
-            raise ValueError(f"pipeline {self.kind} needs a filter spec")
+        filtered = any(_KINDS[self.kind])
+        if filtered != (self.filter_spec is not None):
+            raise ValueError(f"pipeline {self.kind} needs a filter spec" if filtered
+                             else f"pipeline {self.kind} uses no filter")
+        object.__setattr__(self, "kernel", design_kernel(self.filter_spec) if filtered else None)
 
 
 def config_name(config: PipelineConfig) -> str:
@@ -160,16 +167,22 @@ def parse_config_name(name: str) -> PipelineConfig:
     return PipelineConfig(kind, FilterSpec(kaiser_beta=beta, normalized=normalized))
 
 
+def pipeline_stages(config: PipelineConfig, act: str = "relu", padding: str = "reflect"):
+    """(down, act, up) of a pipeline, each a function of one C x H x W image;
+    `padding` is the border rule of its filters, if it has any."""
+    af, wrapped = _KINDS[config.kind]
+    filtered = {"kernel": config.kernel, "padding": padding}
+    down = partial(downsample2x_af, **filtered) if af else downsample2x_naive
+    up = partial(upsample2x_af, **filtered) if af else upsample2x_naive
+    nonlinearity = (partial(wrapped_activation, act=act, **filtered) if wrapped
+                    else partial(apply_pointwise, act=act))
+    return down, nonlinearity, up
+
+
 def apply_pipeline(config: PipelineConfig, img) -> np.ndarray:
     """Downsample, apply ReLU (wrapped for C and D), upsample back; reflect padding."""
-    af = config.kind in ("B", "D")
-    kernel = None if config.filter_spec is None else design_kernel(config.filter_spec)
-    low = downsample2x_af(img, kernel) if af else downsample2x_naive(img)
-    if config.kind in ("C", "D"):
-        low = wrapped_activation(low, "relu", kernel)
-    else:
-        low = apply_pointwise(low, "relu")
-    return upsample2x_af(low, kernel) if af else upsample2x_naive(low)
+    down, act, up = pipeline_stages(config)
+    return up(act(down(img)))
 
 
 def equivariance_error(config: PipelineConfig, img, phi: float) -> float | list[float]:

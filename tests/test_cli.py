@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from aliasfree import (FilterSpec, PipelineConfig, band_limited_corpus,
-                       design_kernel, equivariance_error, freq_response,
+from aliasfree import (FilterSpec, PipelineConfig, alias_energy, apply_pointwise,
+                       band_limited_corpus, design_kernel, downsample2x_af,
+                       downsample2x_naive, equivariance_error, freq_response,
                        kernel_from_text, linear_schedule, read_raster,
-                       sample_classical, write_raster)
+                       sample_classical, upsample2x_af, upsample2x_naive,
+                       wrapped_activation, write_raster)
 from aliasfree.cli import (build_parser, main, parse_angle, parse_denoiser_spec,
                           parse_shape)
 from aliasfree.diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
@@ -202,6 +204,98 @@ def test_analyze_equivariance_csv_matches_per_image_calls(tmp_path):
         f"{i},D-1,{phi!r},{equivariance_error(config, img, phi)!r}"
         for i, img in enumerate(band_limited_corpus(3, 32))]
     assert out.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
+K5 = FilterSpec(kaiser_beta=1.0, normalized=True, kernel_size=5)
+
+
+@pytest.mark.parametrize("padding", ["reflect", "zero"])
+@pytest.mark.parametrize("mode, direction, want", [
+    ("naive", "down", lambda img, padding: downsample2x_naive(img)),
+    ("naive", "up", lambda img, padding: upsample2x_naive(img)),
+    ("af", "down", lambda img, padding: downsample2x_af(img, design_kernel(K5), padding)),
+    ("af", "up", lambda img, padding: upsample2x_af(img, design_kernel(K5), padding)),
+])
+def test_resample_bytes_equal_the_library_call(tmp_path, mode, direction, want, padding):
+    src = make_input(tmp_path, shape=(3, 12, 12))
+    out = tmp_path / "out.ppm"
+    assert run("resample", "--in", str(src), "--mode", mode, "--dir", direction,
+               "--beta", "1", "--normalized", "--size", "5", "--padding", padding,
+               "--out", str(out)) == 0
+    img = read_raster(src.read_bytes())
+    assert out.read_bytes() == write_raster(want(img, padding))
+
+
+@pytest.mark.parametrize("padding", ["reflect", "zero"])
+@pytest.mark.parametrize("act", ["relu", "gelu"])
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_activate_bytes_equal_the_library_call(tmp_path, wrapped, act, padding):
+    src = make_input(tmp_path, shape=(1, 12, 12))
+    out = tmp_path / "out.pgm"
+    flags = ["--wrapped"] if wrapped else []
+    assert run("activate", "--in", str(src), "--act", act, *flags, "--beta", "1",
+               "--normalized", "--size", "5", "--padding", padding, "--out", str(out)) == 0
+    img = read_raster(src.read_bytes())
+    got = (wrapped_activation(img, act, design_kernel(K5), padding) if wrapped
+           else apply_pointwise(img, act))
+    assert out.read_bytes() == write_raster(got)
+
+
+def test_analyze_alias_csv_matches_the_hand_built_chains(tmp_path):
+    # the chains of acceptance criterion 04, one row per corpus image
+    out = tmp_path / "alias.csv"
+    assert run("analyze", "--report", "alias", "--beta", "1", "--normalized",
+               "--count", "3", "--N", "32", "--out", str(out)) == 0
+    k1n = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
+    rows = ["image,naive_roundtrip,af_roundtrip,relu_alias,wrapped_relu_alias"]
+    for i, img in enumerate(band_limited_corpus(3, 32)):
+        scale = float(np.linalg.norm(img))
+        naive = upsample2x_naive(downsample2x_naive(img))
+        af = upsample2x_af(downsample2x_af(img, k1n), k1n)
+        rows.append(f"{i},{float(np.linalg.norm(naive - img)) / scale!r},"
+                    f"{float(np.linalg.norm(af - img)) / scale!r},"
+                    f"{alias_energy(apply_pointwise(img, 'relu'))!r},"
+                    f"{alias_energy(wrapped_activation(img, 'relu', k1n))!r}")
+    assert out.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the filter was designed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["resample", "--mode", "af", "--dir", "down"],
+    ["resample", "--mode", "af", "--dir", "up"],
+    ["activate", "--act", "relu", "--wrapped"],
+    ["analyze", "--report", "alias"],
+    ["analyze", "--report", "equivariance", "--pipeline", "B"],
+    ["analyze", "--report", "equivariance", "--pipeline", "C"],
+    ["analyze", "--report", "equivariance", "--pipeline", "D"],
+])
+def test_a_rejected_filter_exits_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv):
+    src = make_input(tmp_path)
+    monkeypatch.setattr("aliasfree.cli.read_raster", _no_work)
+    monkeypatch.setattr("aliasfree.cli.band_limited_corpus", _no_work)
+    if argv[0] != "analyze":
+        argv = argv + ["--in", str(src)]
+    out = tmp_path / "out"
+    assert run(*argv, "--beta", "800", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "aliasfree: error: bessel_i0(800.0) exceeds the largest double\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["resample", "--mode", "naive", "--dir", "down"],
+    ["resample", "--mode", "naive", "--dir", "up"],
+    ["activate", "--act", "relu"],
+    ["activate", "--act", "gelu"],
+])
+def test_commands_without_a_filter_ignore_its_flags(tmp_path, argv):
+    src = make_input(tmp_path)
+    out = tmp_path / "out.pgm"
+    assert run(*argv, "--in", str(src), "--beta", "800", "--out", str(out)) == 0
+    assert out.exists()
 
 
 def test_every_subcommand_is_byte_deterministic(tmp_path):

@@ -95,3 +95,18 @@ def test_the_tap_sum_is_written_once():
     assert source.count("kernel.taps[") == 1
     names = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
     assert "_filtered" in names and "_check_padding" not in names
+
+
+def test_only_spectral_turns_a_pipeline_kind_into_operators():
+    """The CLI takes every down, nonlinearity and up from spectral.pipeline_stages,
+    and apply_pipeline composes those stages without asking which kind it runs."""
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    operators = {"downsample2x_af", "upsample2x_af", "downsample2x_naive",
+                 "upsample2x_naive", "wrapped_activation", "apply_pointwise"}
+    assert operators.isdisjoint(imported_names(cli))
+    spectral = ast.parse((PACKAGE / "spectral.py").read_text())
+    apply = next(node for node in spectral.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "apply_pipeline")
+    compared = {name for cmp in ast.walk(apply) if isinstance(cmp, ast.Compare)
+                for name in referenced_names(cmp)}
+    assert "kind" not in compared

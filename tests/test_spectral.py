@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -273,6 +274,22 @@ def test_apply_pipeline_compositions():
     d = apply_pipeline(PipelineConfig("D", spec), img)
     want_d = upsample2x_af(wrapped_activation(downsample2x_af(img, kernel), "relu", kernel), kernel)
     assert np.array_equal(d, want_d)
+
+
+@pytest.mark.parametrize("kind", "BCD")
+def test_equivariance_error_designs_the_kernel_at_most_once(monkeypatch, kind):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return design_kernel(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("aliasfree") and hasattr(module, "design_kernel"):
+            monkeypatch.setattr(module, "design_kernel", counted)
+    spec = FilterSpec(kaiser_beta=1.0, normalized=True)
+    equivariance_error(PipelineConfig(kind, spec), band_limited_corpus(2, 16), math.pi / 4)
+    assert len(calls) <= 1
 
 
 def test_pipelines_preserve_shape():
