@@ -123,12 +123,9 @@ def gelu(values) -> np.ndarray:
     out = np.empty(flat.size)
     for i in range(0, flat.size, _BLOCK):
         block = flat[i:i + _BLOCK]
-        cdf2 = 1.0 + _erf(block * _INV_SQRT2)
-        try:
-            with np.errstate(invalid="raise"):  # only -inf * 0 is invalid here
-                out[i:i + _BLOCK] = block * 0.5 * cdf2
-        except FloatingPointError:  # a -inf: floored to the least double, it gives -0.0
-            out[i:i + _BLOCK] = np.maximum(block, np.finfo(float).min) * 0.5 * cdf2
+        # -inf floored to the least double gives -0.0; every other value passes unchanged
+        out[i:i + _BLOCK] = (np.maximum(block, np.finfo(float).min) * 0.5
+                             * (1.0 + _erf(block * _INV_SQRT2)))
     return out.reshape(v.shape)[()]  # a 0-d input gets a scalar back, as from a ufunc
 
 

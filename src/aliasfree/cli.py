@@ -77,6 +77,15 @@ def parse_shape(text: str) -> tuple:
     return tuple(_whole(_int(p), "shape side", 1) for p in parts)
 
 
+# each --denoiser kind: the argument names it takes, and its builder from them
+_DENOISERS = {
+    "zero": (set(), lambda sched, shape: ZeroDenoiser()),
+    "constant": ({"v"}, lambda sched, shape, v: ConstantDenoiser(v)),
+    "gaussian": ({"mu", "sigma0"}, lambda sched, shape, mu, sigma0: AnalyticGaussianDenoiser(
+        GaussianDataSpec(mean=mu, stddev=sigma0, shape=shape), sched)),
+}
+
+
 def parse_denoiser_spec(text: str):
     """Parse --denoiser values: zero, constant:v=V, gaussian:mu=M,sigma0=S."""
     kind, _, arg_text = text.partition(":")
@@ -90,23 +99,13 @@ def parse_denoiser_spec(text: str):
             if not math.isfinite(number):
                 raise ValueError(f"denoiser argument {item!r} is not finite")
             args[key.strip()] = number
-    # each kind and the argument names it takes
-    expected = {"zero": set(), "constant": {"v"}, "gaussian": {"mu", "sigma0"}}.get(kind)
-    if expected is None:
+    if kind not in _DENOISERS:
         raise ValueError(f"unknown denoiser kind {kind!r}")
+    expected, _ = _DENOISERS[kind]
     if set(args) != expected:
         raise ValueError(
             f"denoiser {kind!r} takes arguments {sorted(expected)}, got {sorted(args)}")
     return kind, args
-
-
-def _build_denoiser(kind, args, sched, shape):
-    if kind == "zero":
-        return ZeroDenoiser()
-    if kind == "constant":
-        return ConstantDenoiser(args["v"])
-    data = GaussianDataSpec(mean=args["mu"], stddev=args["sigma0"], shape=shape)
-    return AnalyticGaussianDenoiser(data, sched)
 
 
 def _read_image(path: str) -> np.ndarray:
@@ -161,7 +160,8 @@ def cmd_sample(args) -> dict:
     _whole(args.n, "--n", 1)
     _, ext = raster_format(args.shape[0])
     sched = linear_schedule(args.T, args.beta_start, args.beta_end, args.sigma_mode)
-    denoiser = _build_denoiser(*args.denoiser, sched, args.shape)
+    kind, values = args.denoiser
+    denoiser = _DENOISERS[kind][1](sched, args.shape, **values)
     rng = Rng([args.seed ^ i for i in range(args.n)])
     xs = sample_rotated(denoiser, sched, args.shape, args.phi, rng, args.fill)
     return {f"{args.out}-{i:03d}.{ext}": write_raster(x) for i, x in enumerate(xs)}

@@ -159,20 +159,17 @@ def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
     Each draw samples x0 from the data distribution, a step t uniform on
     1..T, and a fresh eps, then scores ||eps - predict(x_t, t)||^2. The
     per-draw order is x0 elements, then t, then eps elements, so a fixed
-    seed pins the entire sequence. The rng fetches the words of many draws
-    in one block (see `Rng._draws`); the stream, the counter and the loss
-    are those of data.draw, randint and normal called once per draw, and
-    predict still runs once per draw, in order. The rng must have a single
-    stream.
+    seed pins the entire sequence. The draws come one at a time from
+    `Rng._draws`; the stream, the counter and the loss are those of
+    data.draw, randint and normal called once per draw, and predict runs
+    once per draw, in order. The rng must have a single stream.
     """
     n_draws = _whole(n_draws, "n_draws", 1)
     total = 0.0
-    for x0, steps, eps in rng._draws(n_draws, data.shape, sched.T, data.shape):
-        x0 = data.mean + data.stddev * x0
-        for x0_k, t, eps_k in zip(x0, steps.tolist(), eps):
-            x_t = forward_noise(x0_k, t, eps_k, sched)
-            err = eps_k - denoiser.predict(x_t, t)
-            total += float(np.sum(err * err))
+    for z, t, eps in rng._draws(n_draws, data.shape, sched.T, data.shape):
+        x_t = forward_noise(data.mean + data.stddev * z, t, eps, sched)
+        err = eps - denoiser.predict(x_t, t)
+        total += float(np.sum(err * err))
     return total / n_draws
 
 
@@ -188,9 +185,9 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     After every reverse step, including t = 1, the state turns by phi / T,
     so the total applied rotation is phi; phi = 0 skips the turns. Draw
     order: the initial x_T, then one fresh noise image per step with
-    t > 1 (whenever sigma_t is nonzero). The rng fetches the step noise
-    in blocks of many steps (see `Rng._draws`); the stream, the counter
-    and the output are those of one normal(shape) call per step. A
+    t > 1 (whenever sigma_t is nonzero). The step noise comes one draw
+    per noisy step from `Rng._draws`; the stream, the counter and the
+    output are those of one normal(shape) call per step. A
     multi-stream rng runs one trajectory per stream and returns shape
     (N,) + shape; the denoiser then predicts on that whole batch.
 
@@ -209,15 +206,14 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
             raise ValueError(f"expected a C x H x W shape with positive sides, got {shape}")
         turn = _rotator(shape[1], shape[2], step_angle, fill)
     x = rng.normal(shape)  # also rejects a zero side, which _draws would divide by
-    noise = (z for (block,) in rng._draws(int(np.count_nonzero(sched.sigma[1:])), shape)
-             for z in block)
+    noise = rng._draws(int(np.count_nonzero(sched.sigma[1:])), shape)
     for t in range(sched.T, 0, -1):
         i = t - 1
         eps_hat = denoiser.predict(x, t)
         x = (x - (1.0 - sched.alpha[i]) / math.sqrt(1.0 - sched.alpha_bar[i]) * eps_hat) \
             / math.sqrt(sched.alpha[i])
         if t > 1 and sched.sigma[i] != 0.0:
-            x = x + sched.sigma[i] * next(noise)
+            x = x + sched.sigma[i] * next(noise)[0]
         if step_angle != 0.0:
             # every channel turns alike, so streams ride in the channel axis
             x = turn(check_image(x.reshape((-1,) + shape[1:]))).reshape(x.shape)

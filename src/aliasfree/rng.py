@@ -8,11 +8,12 @@ element order, with the trailing spare discarded when an odd number of
 elements is requested.
 
 Since a pair never spans two draws, any run of draws can come from one
-`_raw` call and be split by draw. `Rng` fetches every normal and integer
-draw this way, through `_draws` in blocks of at most `_NOISE_BLOCK` raw
-words over all streams: `normal` and `randint` take one draw, and the
-samplers and the training loss in `diffusion` take many. The stream, the
-counter and every output bit are those of one call per draw.
+`_raw` call and be split by draw. `_draws` fetches every normal and
+integer draw this way, in blocks of at most `_NOISE_BLOCK` raw words over
+all streams, and yields them one draw at a time, so the block layout stays
+in this module. `normal` and `randint` take one draw; the samplers and the
+training loss in `diffusion` take many. The stream, the counter and every
+output bit are those of one call per draw.
 """
 
 import itertools
@@ -113,18 +114,18 @@ class Rng:
     def randint(self, high: int) -> int:
         """Uniform integer in {1, ..., high} from one raw word: with u = word / 2^53
         in [0, 1), it is 1 + min(floor(u * high), high - 1). Single-stream only."""
-        return next(self._draws(1, _whole(high, "high", 1)))[0].item()
+        return next(self._draws(1, _whole(high, "high", 1)))[0]
 
     def normal(self, shape) -> np.ndarray:
         """Standard normal draws via Box-Muller (see `_box_muller`)."""
-        return next(self._draws(1, _shape(shape)))[0][0]
+        return next(self._draws(1, _shape(shape)))[0]
 
     def _draws(self, count: int, *parts):
-        """Yield `count` draws of one value per part, in blocks of at least one draw
-        and at most _NOISE_BLOCK raw words over all streams. A tuple part is a
-        shape of normals, (draws,) + streams + shape per block; an int part `high`
-        is a step as `randint` draws it, (draws,) per block, and needs a
-        single-stream Rng."""
+        """Yield `count` draws, each a tuple of one value per part. A tuple part is a
+        shape of normals, an array of shape streams + shape; an int part `high` is
+        a step as `randint` draws it, a Python int, and needs a single-stream Rng.
+        Words are fetched in blocks of at least one draw and at most _NOISE_BLOCK
+        raw words over all streams."""
         if self._streams and not all(isinstance(p, tuple) for p in parts):
             raise ValueError("an integer draw is one number; it needs a single-stream Rng")
         words = [math.prod(p) + math.prod(p) % 2 if isinstance(p, tuple) else 1 for p in parts]
@@ -132,6 +133,7 @@ class Rng:
         per_block = max(1, _NOISE_BLOCK // (bounds[-1] * math.prod(self._streams)))
         for done in range(0, count, per_block):
             top53 = np.moveaxis(self._top53(min(per_block, count - done), bounds[-1]), -2, 0)
-            yield tuple(_box_muller(top53[..., a:b], p) if isinstance(p, tuple) else
-                        1 + np.minimum(top53[..., a] / _TWO53 * p, p - 1).astype(np.int64)
-                        for p, a, b in zip(parts, bounds, bounds[1:]))
+            yield from zip(*(
+                _box_muller(top53[..., a:b], p) if isinstance(p, tuple) else
+                (1 + np.minimum(top53[..., a] / _TWO53 * p, p - 1).astype(np.int64)).tolist()
+                for p, a, b in zip(parts, bounds, bounds[1:])))

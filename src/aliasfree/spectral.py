@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .activation import apply_pointwise, wrapped_activation
+from .activation import ACTIVATIONS, apply_pointwise, wrapped_activation
 from .filter_design import HALF_PI, FilterSpec, Kernel2D, design_kernel
-from .resample import (check_image, downsample2x_af, downsample2x_naive,
+from .resample import (PADDING_MODES, check_image, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
 from .rng import Rng, _whole
 from .rotation import rotate
@@ -168,8 +168,12 @@ def parse_config_name(name: str) -> PipelineConfig:
 
 
 def pipeline_stages(config: PipelineConfig, act: str = "relu", padding: str = "reflect"):
-    """(down, act, up) of a pipeline, each a function of one C x H x W image;
-    `padding` is the border rule of its filters, if it has any."""
+    """(down, act, up) of a pipeline, each a function of one C x H x W image.
+    `act` and `padding` (its filters' border rule) are checked here, for every kind."""
+    if act not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
+    if padding not in PADDING_MODES:
+        raise ValueError(f"unknown padding mode {padding!r}")
     af, wrapped = _KINDS[config.kind]
     filtered = {"kernel": config.kernel, "padding": padding}
     down = partial(downsample2x_af, **filtered) if af else downsample2x_naive

@@ -97,9 +97,11 @@ def test_erf_keeps_the_sign_of_zero_and_saturates():
 
 
 def test_erf_and_gelu_of_nan_and_infinities():
-    x = np.array([np.nan, np.inf, -np.inf])
+    big = np.finfo(float).max
+    x = np.array([np.nan, np.inf, -np.inf, big, -big])
     got = _erf(x)
     assert np.isnan(got[0]) and got[1] == 1.0 and got[2] == -1.0
+    assert got[3] == 1.0 and got[4] == -1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = gelu(x)
@@ -109,6 +111,9 @@ def test_erf_and_gelu_of_nan_and_infinities():
         assert gelu(np.append(finite, -np.inf))[:3].tobytes() == gelu(finite).tobytes()
     assert np.isnan(g[0]) and g[1] == np.inf
     assert g[2] == 0.0 and math.copysign(1.0, g[2]) == -1.0
+    # the largest double passes the floor unchanged: big * 0.5 * 2 and -big * 0.5 * 0
+    assert g[3] == big
+    assert g[4] == 0.0 and math.copysign(1.0, g[4]) == -1.0
 
 
 @glibc_only

@@ -1,6 +1,7 @@
 """Every name imported into a module of the package is used there, every
 private helper defined in the package is used somewhere in it, and a
-module imports another module's private names only from an allow-list.
+module imports another module's private names, or reads private
+attributes of objects other than `self`, only from an allow-list.
 
 No linter ships with the project, so this stands in for the unused-import
 and dead-code checks. __init__.py is skipped by the import check: its
@@ -76,6 +77,22 @@ def test_private_imports_are_on_the_allow_list(path):
                and (node.level or (node.module or "").split(".")[0] == "aliasfree")
                for alias in node.names if alias.name.startswith("_")}
     assert private == PRIVATE_IMPORTS.get(path.name, set()), path.name
+
+
+# The private attributes each module may read through an object other than
+# `self`: diffusion takes its draws one at a time from Rng._draws, and
+# nothing outside rng sees _top53, _count or _streams.
+PRIVATE_ATTRIBUTES = {"diffusion.py": {"_draws"}}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_attributes_of_other_objects_are_on_the_allow_list(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not node.attr.startswith("__")
+               and not (isinstance(node.value, ast.Name) and node.value.id == "self")}
+    assert private == PRIVATE_ATTRIBUTES.get(path.name, set()), path.name
 
 
 def test_the_whole_number_rule_is_written_once():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aliasfree import rng as rng_module
 from aliasfree.rng import Rng
 
 
@@ -185,3 +186,26 @@ def test_multi_stream_randint_and_seed_validation():
             Rng(bad)
     # a one-element sequence is one stream with a leading axis of 1
     assert np.array_equal(Rng([9]).normal((4,))[0], Rng(9).normal((4,)))
+
+
+# 13 draws at a bound of 100 words: 7 to a block for one stream (13 words a
+# draw), 2 for three (36 words a draw), each leaving a partial last block
+@pytest.mark.parametrize("bound", [rng_module._NOISE_BLOCK, 100])
+@pytest.mark.parametrize("seed, parts", [(5, ((2, 3), 9, (5,))),
+                                         ([3, 2**64 - 1, -7], ((2, 3), (5,)))])
+def test_draws_yield_one_tuple_per_draw_equal_to_one_call_per_draw(bound, seed, parts,
+                                                                   monkeypatch):
+    monkeypatch.setattr(rng_module, "_NOISE_BLOCK", bound)
+    got_rng, want_rng = Rng(seed), Rng(seed)
+    draws = list(got_rng._draws(13, *parts))
+    assert len(draws) == 13
+    for draw in draws:
+        assert len(draw) == len(parts)
+        for value, part in zip(draw, parts):
+            if isinstance(part, tuple):
+                assert value.shape == np.shape(seed) + part
+                assert value.tobytes() == want_rng.normal(part).tobytes()
+            else:
+                assert type(value) is int and value == want_rng.randint(part)
+    assert got_rng._count == want_rng._count
+    assert list(Rng(seed)._draws(0, *parts)) == []

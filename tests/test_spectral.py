@@ -292,6 +292,34 @@ def test_equivariance_error_designs_the_kernel_at_most_once(monkeypatch, kind):
     assert len(calls) <= 1
 
 
+_OPERATORS = ("downsample2x_af", "upsample2x_af", "downsample2x_naive", "upsample2x_naive",
+              "wrapped_activation", "apply_pointwise")
+
+
+def _spy(ran, name, operator):
+    def spied(*args, **kwargs):
+        ran.append(name)
+        return operator(*args, **kwargs)
+    return spied
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+@pytest.mark.parametrize("act, padding, message", [
+    ("tanh", "reflect", "unknown activation 'tanh', expected one of"),
+    ("relu", "wrap", "unknown padding mode 'wrap'"),
+], ids=["act", "padding"])
+def test_pipeline_stages_reject_an_unknown_act_or_padding_before_any_stage_runs(
+        monkeypatch, kind, act, padding, message):
+    ran = []
+    for name in _OPERATORS:
+        monkeypatch.setattr(spectral, name, _spy(ran, name, getattr(spectral, name)))
+    config = PipelineConfig(kind, None if kind == "A" else FilterSpec(1.0, True))
+    with pytest.raises(ValueError, match=message):
+        down, nonlinearity, up = spectral.pipeline_stages(config, act, padding)
+        up(nonlinearity(down(band_limited_corpus(1, 16)[0])))
+    assert ran == []
+
+
 def test_pipelines_preserve_shape():
     img = band_limited_corpus(1, 32)[0]
     spec = FilterSpec(kaiser_beta=1.0, normalized=True)
