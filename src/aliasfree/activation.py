@@ -121,11 +121,12 @@ def gelu(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     flat = v.ravel()
     out = np.empty(flat.size)
-    for i in range(0, flat.size, _BLOCK):
-        block = flat[i:i + _BLOCK]
-        # -inf floored to the least double gives -0.0; every other value passes unchanged
-        out[i:i + _BLOCK] = (np.maximum(block, np.finfo(float).min) * 0.5
-                             * (1.0 + _erf(block * _INV_SQRT2)))
+    with np.errstate(invalid="ignore"):  # a signalling nan gives nan, as a quiet one does
+        for i in range(0, flat.size, _BLOCK):
+            block = flat[i:i + _BLOCK]
+            # -inf floored to the least double gives -0.0; every other value passes unchanged
+            out[i:i + _BLOCK] = (np.maximum(block, np.finfo(float).min) * 0.5
+                                 * (1.0 + _erf(block * _INV_SQRT2)))
     return out.reshape(v.shape)[()]  # a 0-d input gets a scalar back, as from a ufunc
 
 

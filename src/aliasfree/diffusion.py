@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .resample import check_image
 from .rng import Rng, _whole
-from .rotation import FILL_MODES, _rotator
+from .rotation import _rotator
 
 SIGMA_MODES = ("beta", "zero")
 
@@ -193,19 +192,14 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
 
     The rotation's gather indices and weights are built once per chain,
     not once per step; the output bytes are those of one rotate call per
-    step. A fractional shape side, a non-finite phi, an unknown fill and,
-    for a nonzero phi, a shape that is not C x H x W with positive sides
-    are rejected before any draw or predict call.
+    step. A fractional shape side, a shape that is not C x H x W with
+    positive sides, a non-finite phi and an unknown fill are rejected
+    before any draw or predict call.
     """
     shape = tuple(_whole(d, "shape side") for d in shape)
-    if fill not in FILL_MODES:
-        raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
     step_angle = float(phi) / sched.T
-    if step_angle != 0.0:
-        if len(shape) != 3 or min(shape) < 1:
-            raise ValueError(f"expected a C x H x W shape with positive sides, got {shape}")
-        turn = _rotator(shape[1], shape[2], step_angle, fill)
-    x = rng.normal(shape)  # also rejects a zero side, which _draws would divide by
+    turn = _rotator(shape, step_angle, fill)
+    x = rng.normal(shape)
     noise = rng._draws(int(np.count_nonzero(sched.sigma[1:])), shape)
     for t in range(sched.T, 0, -1):
         i = t - 1
@@ -215,6 +209,5 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
         if t > 1 and sched.sigma[i] != 0.0:
             x = x + sched.sigma[i] * next(noise)[0]
         if step_angle != 0.0:
-            # every channel turns alike, so streams ride in the channel axis
-            x = turn(check_image(x.reshape((-1,) + shape[1:]))).reshape(x.shape)
+            x = turn(x)
     return x

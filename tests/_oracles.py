@@ -158,6 +158,26 @@ def bilinear_upsample_loops(img):
     return out
 
 
+def bilinear_gather_2d(img, src_r, src_c):
+    """Bilinear samples of every channel at broadcast (src_r, src_c), clamped
+    to the grid: a two-dimensional gather of the four neighbours, blended
+    along columns, then rows, in the package's operation order."""
+    img = np.asarray(img, dtype=float)
+    _, H, W = img.shape
+
+    def neighbours(src, n):
+        src = np.clip(src, 0.0, n - 1)
+        i0 = np.floor(src).astype(int)
+        f = src - i0
+        return i0, np.minimum(i0 + 1, n - 1), 1.0 - f, f
+
+    r0, r1, wr0, wr1 = neighbours(src_r, H)
+    c0, c1, wc0, wc1 = neighbours(src_c, W)
+    top = wc0 * img[:, r0, c0] + wc1 * img[:, r0, c1]
+    bottom = wc0 * img[:, r1, c0] + wc1 * img[:, r1, c1]
+    return wr0 * top + wr1 * bottom
+
+
 def dft2_loops(img):
     """Direct O(N^4) centered 2D DFT."""
     img = np.asarray(img, dtype=float)

@@ -176,10 +176,12 @@ def test_criterion_07_analytic_denoiser_end_to_end(capsys):
     data = GaussianDataSpec(mean=0.3, stddev=0.05, shape=(1, 8, 8))
     sched = linear_schedule(1000)
     den = AnalyticGaussianDenoiser(data, sched)
-    base_seed = 2026
-    flat = np.stack([sample_classical(den, sched, data.shape,
-                                      Rng(base_seed ^ i)).ravel()
-                     for i in range(1024)])
+    seeds = [2026 ^ i for i in range(1024)]
+    # one stream per trajectory; each row is bitwise its single-stream chain
+    flat = sample_classical(den, sched, data.shape, Rng(seeds)).reshape(len(seeds), -1)
+    for i in (0, len(seeds) - 1):
+        single = sample_classical(den, sched, data.shape, Rng(seeds[i]))
+        assert flat[i].tobytes() == single.tobytes(), i
     pooled = flat.ravel()
     mean_z = abs(pooled.mean() - data.mean) / (pooled.std(ddof=1)
                                                / math.sqrt(pooled.size))

@@ -116,6 +116,17 @@ def test_erf_and_gelu_of_nan_and_infinities():
     assert g[4] == 0.0 and math.copysign(1.0, g[4]) == -1.0
 
 
+def test_gelu_of_a_signalling_nan_is_a_silent_nan():
+    snan = np.array([0x7FF0000000000001], dtype=np.uint64).view(float)
+    finite = np.array([-9.0, -1.0, 0.5, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gelu(np.append(finite, snan))
+        assert np.isnan(gelu(snan)).all()
+    assert np.isnan(g[-1])
+    assert g[:-1].tobytes() == gelu(finite).tobytes()
+
+
 @glibc_only
 @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
 @pytest.mark.parametrize("scale", [0.5, 3.0])

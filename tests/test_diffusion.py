@@ -282,7 +282,7 @@ def test_rotated_sampler_zero_angle_matches_classical_bitwise():
     a = sample_classical(ZeroDenoiser(), s, (1, 8, 8), Rng(51))
     b = sample_rotated(ZeroDenoiser(), s, (1, 8, 8), 0.0, Rng(51))
     assert np.array_equal(a, b)
-    # phi = 0 builds no rotation, so the sampler checks fill itself
+    # phi = 0 turns nothing, but the rotation is still built, so fill is checked
     with pytest.raises(ValueError, match="bogus"):
         sample_rotated(ZeroDenoiser(), s, (1, 8, 8), 0.0, Rng(51), fill="bogus")
 
@@ -389,6 +389,8 @@ def test_rotated_sampler_matches_per_step_rotate_replay(fill):
     (0.3, (0, 8, 8), "C x H x W"),
     (0.0, (1, 0, 8), "shape"),
     (0.0, (0, 8, 8), "shape"),
+    (0.0, (8, 8), "C x H x W"),
+    (0.0, (1, 1, 8, 8), "C x H x W"),
 ])
 def test_rotated_sampler_rejects_bad_phi_or_shape_before_any_work(phi, shape, match):
     den = Recorder(ZeroDenoiser())

@@ -127,3 +127,14 @@ def test_only_spectral_turns_a_pipeline_kind_into_operators():
     compared = {name for cmp in ast.walk(apply) if isinstance(cmp, ast.Compare)
                 for name in referenced_names(cmp)}
     assert "kind" not in compared
+
+
+def test_the_sampler_states_no_rotation_rule():
+    """rotation._rotator checks the shape, angle and fill of a turn and folds
+    the streams; sample_rotated builds its one turn there and states none."""
+    source = (PACKAGE / "diffusion.py").read_text()
+    tree = ast.parse(source)
+    assert {"FILL_MODES", "check_image"}.isdisjoint(referenced_names(tree))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_rotator"]
+    assert len(calls) == 1

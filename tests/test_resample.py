@@ -7,10 +7,9 @@ from aliasfree import (FilterSpec, Kernel2D, convolve2d, design_kernel,
                        downsample2x_af, downsample2x_naive, upsample2x_af,
                        upsample2x_naive, wrapped_activation)
 from aliasfree.rng import Rng
-from aliasfree.rotation import _bilinear_apply, _bilinear_plan
 
-from _oracles import (bilinear_upsample_loops, conv2d_loops, downsample_af_loops,
-                      upsample_af_loops)
+from _oracles import (bilinear_gather_2d, bilinear_upsample_loops, conv2d_loops,
+                      downsample_af_loops, upsample_af_loops)
 
 K1N = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
 K0U = design_kernel(FilterSpec(kaiser_beta=0.0, normalized=False))
@@ -359,7 +358,7 @@ def test_naive_upsample_equals_two_dimensional_gather_bitwise():
         C, H, W = shape
         u = np.arange(2 * H) * (H - 1) / (2 * H - 1)
         v = np.arange(2 * W) * (W - 1) / (2 * W - 1)
-        want = _bilinear_apply(img, _bilinear_plan(H, W, u[:, None], v[None, :]))
+        want = bilinear_gather_2d(img, u[:, None], v[None, :])
         got = upsample2x_naive(img)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), shape
