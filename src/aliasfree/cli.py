@@ -7,11 +7,11 @@ command has succeeded, so a command that fails writes no file. Only sample
 takes --seed (default 0); analyze always measures its built-in seed-2024
 corpus. Angles are finite; a nonzero sample --phi needs --config rotated.
 Exit status is 0 on success, 2 when argparse rejects the command line
-(--seed on any other subcommand, a non-finite --denoiser value or angle,
-a number written with an underscore such as --T 1_0), and 1 when a
-command rejects a value or an input while running (--T 0, a 2-channel
-sample shape, classical sampling with --phi 1, an unreadable file). A
-filter design_kernel rejects (--beta 800) exits 1 before any input is read.
+(--seed on any other subcommand, a non-finite angle, a non-finite or
+repeated --denoiser argument, a number with an underscore such as --T 1_0),
+and 1 when a command rejects a value or an input while running (--T 0, a
+2-channel sample shape, classical sampling with --phi 1, an unreadable file).
+A filter design_kernel rejects (--beta 800) exits 1 before any input is read.
 
 Examples:
 
@@ -41,7 +41,7 @@ from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                         sample_rotated, SIGMA_MODES)
 from .filter_design import HALF_PI, FilterSpec, design_kernel, kernel_to_text
 from .image_io import raster_format, read_raster, write_raster
-from .resample import PADDING_MODES
+from .resample import PADDING_MODES, _image_shape
 from .rng import Rng, _whole
 from .rotation import FILL_MODES, rotate
 from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
@@ -71,10 +71,8 @@ def parse_angle(text: str) -> float:
 
 
 def parse_shape(text: str) -> tuple:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ValueError(f"shape must look like CxHxW, got {text!r}")
-    return tuple(_whole(_int(p), "shape side", 1) for p in parts)
+    """CxHxW text (x or X) as the sides `_image_shape` accepts."""
+    return _image_shape(tuple(map(_int, text.lower().split("x"))))
 
 
 # each --denoiser kind: the argument names it takes, and its builder from them
@@ -95,10 +93,12 @@ def parse_denoiser_spec(text: str):
             key, sep, value = item.partition("=")
             if not sep or not key:
                 raise ValueError(f"bad denoiser argument {item!r}")
-            number = _float(value)
+            number, key = _float(value), key.strip()
             if not math.isfinite(number):
                 raise ValueError(f"denoiser argument {item!r} is not finite")
-            args[key.strip()] = number
+            if key in args:
+                raise ValueError(f"denoiser argument {key!r} given twice")
+            args[key] = number
     if kind not in _DENOISERS:
         raise ValueError(f"unknown denoiser kind {kind!r}")
     expected, _ = _DENOISERS[kind]

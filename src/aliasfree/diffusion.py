@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .resample import _image_shape
 from .rng import Rng, _whole
 from .rotation import _rotator
 
@@ -83,7 +84,7 @@ def forward_noise(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianDataSpec:
-    """Isotropic Gaussian data distribution: N(mean, stddev^2 I) per element."""
+    """Isotropic Gaussian data N(mean, stddev^2 I) per element of an `_image_shape` shape."""
 
     mean: float
     stddev: float
@@ -94,10 +95,7 @@ class GaussianDataSpec:
             raise ValueError(f"mean must be finite, got {self.mean}")
         if not (0.0 < self.stddev < math.inf):
             raise ValueError(f"stddev must be finite and > 0, got {self.stddev}")
-        shape = tuple(_whole(d, "shape side", 1) for d in self.shape)
-        if len(shape) != 3:
-            raise ValueError(f"shape must be a positive C x H x W triple, got {self.shape}")
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "shape", _image_shape(self.shape))
 
     def draw(self, rng: Rng) -> np.ndarray:
         return self.mean + self.stddev * rng.normal(self.shape)
@@ -192,11 +190,10 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
 
     The rotation's gather indices and weights are built once per chain,
     not once per step; the output bytes are those of one rotate call per
-    step. A fractional shape side, a shape that is not C x H x W with
-    positive sides, a non-finite phi and an unknown fill are rejected
-    before any draw or predict call.
+    step. A shape `_image_shape` rejects, a non-finite phi and an unknown
+    fill are rejected before any draw or predict call.
     """
-    shape = tuple(_whole(d, "shape side") for d in shape)
+    shape = _image_shape(shape)
     step_angle = float(phi) / sched.T
     turn = _rotator(shape, step_angle, fill)
     x = rng.normal(shape)

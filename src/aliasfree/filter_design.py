@@ -45,10 +45,6 @@ class FilterSpec:
         if not (0.0 <= self.kaiser_beta < math.inf):
             raise ValueError(f"kaiser_beta must be finite and >= 0, got {self.kaiser_beta}")
 
-    @property
-    def radius(self) -> int:
-        return (self.kernel_size - 1) // 2
-
 
 class Kernel2D:
     """Immutable odd square tap matrix, indexed by offsets in [-r, r]."""
@@ -105,7 +101,7 @@ def design_kernel(spec: FilterSpec) -> Kernel2D:
     one weight is then I0(beta) / I0(beta) = 1. A normalized spec
     rescales the matrix to unit tap sum so constants pass unchanged.
     """
-    r = spec.radius
+    r = spec.kernel_size // 2
     offsets = list(range(-r, r + 1))
     length = float(max(spec.kernel_size - 1, 1))
     window = {n: kaiser_weight(spec.kaiser_beta, n, length) for n in offsets}

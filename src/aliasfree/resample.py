@@ -26,17 +26,23 @@ at full rate and of a two-dimensional gather.
 import numpy as np
 
 from .filter_design import Kernel2D
+from .rng import _whole
 
 PADDING_MODES = ("reflect", "zero")
 
 
+def _image_shape(shape) -> tuple:
+    """The one image-shape rule, for every array, sampler shape, turn and --shape:
+    three sides C x H x W, each a whole number >= 1, as a tuple of ints."""
+    if len(shape) != 3 or min(shape) < 1:
+        raise ValueError(f"expected a C x H x W shape with no empty axis, got {tuple(shape)}")
+    return tuple(_whole(side, "shape side") for side in shape)
+
+
 def check_image(img) -> np.ndarray:
-    """Validate a C x H x W tensor and return it as float64."""
+    """Validate a tensor of `_image_shape` with finite values; return it as float64."""
     arr = np.asarray(img, dtype=float)
-    if arr.ndim != 3:
-        raise ValueError(f"expected a C x H x W array, got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"image has an empty axis: shape {arr.shape}")
+    _image_shape(arr.shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("image values must be finite")
     return arr

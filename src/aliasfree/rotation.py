@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .resample import _linear_plan, check_image
+from .resample import _image_shape, _linear_plan, check_image
 
 FILL_MODES = ("replicate", "zero")
 
@@ -28,19 +28,16 @@ def _snap(v: float) -> float:
 
 
 def _rotator(shape, phi, fill: str):
-    """Check a C x H x W shape with positive sides, phi and fill, and build
-    the gather plan and zero-fill mask once. The returned turn(arr) checks
-    arr's values and turns by phi every H x W plane of a stack whose last
-    three axes are `shape`."""
-    if len(shape) != 3 or min(shape) < 1:
-        raise ValueError(f"expected a C x H x W shape with positive sides, got {shape}")
+    """Check the shape (by `_image_shape`), phi and fill, and build the gather
+    plan and zero-fill mask once. The returned turn(arr) checks arr's values and
+    turns by phi every H x W plane of a stack whose last three axes are `shape`."""
+    _, H, W = _image_shape(shape)
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
     if fill not in FILL_MODES:
         raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
 
-    _, H, W = shape
     cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
     c, s = _snap(math.cos(phi)), _snap(math.sin(phi))
     dr = np.arange(H)[:, None] - cy

@@ -16,7 +16,7 @@ kind picks naive or alias-free resamplers and a plain or wrapped one:
 `pipeline_stages` alone turns a kind into its (down, act, up) operators.
 A config designs its kernel when built, before any image is touched.
 Names like "D-1N" append the filter beta and an N for a normalized
-kernel; config A carries no filter at all.
+kernel of the default size and cutoff; config A carries no filter at all.
 """
 
 import math
@@ -142,18 +142,22 @@ class PipelineConfig:
 
 
 def config_name(config: PipelineConfig) -> str:
-    """Short name like "A" or "D-1N"."""
-    if config.filter_spec is None:
+    """Short name like "A" or "D-1N". Names cover the default kernel size and
+    cutoff only: any other filter raises, so every name parses back equal."""
+    spec = config.filter_spec
+    if spec is None:
         return config.kind
-    beta = config.filter_spec.kaiser_beta
+    if (spec.kernel_size, spec.cutoff) != (3, HALF_PI):
+        raise ValueError(f"pipeline names cover kernel_size 3 and cutoff pi/2 only, got {spec}")
+    beta = spec.kaiser_beta
     beta_txt = str(int(beta)) if beta == int(beta) else repr(beta)
-    suffix = "N" if config.filter_spec.normalized else ""
+    suffix = "N" if spec.normalized else ""
     return f"{config.kind}-{beta_txt}{suffix}"
 
 
 def parse_config_name(name: str) -> PipelineConfig:
-    """Inverse of config_name for names like "A", "B-2", "D-1N"; the kind,
-    filter and beta are checked by PipelineConfig and FilterSpec."""
+    """Inverse of config_name for names like "A", "B-2", "D-1N" (default kernel
+    size and cutoff); PipelineConfig and FilterSpec check the kind, filter and beta."""
     kind, sep, tail = str(name).strip().partition("-")
     if not sep:
         return PipelineConfig(kind)

@@ -54,7 +54,7 @@ def test_parse_denoiser_spec():
     for bad in ("unknown", "constant", "gaussian:mu=0.3",
                 "constant:v=0.5,w=2", "gaussian:mu=x,sigma0=1", "zero:v=1",
                 "constant:v=nan", "gaussian:mu=inf,sigma0=1", "constant:v",
-                "constant:v=1_0"):
+                "constant:v=1_0", "constant:v=1,v=2", "gaussian:mu=1,mu=2,sigma0=1"):
         with pytest.raises(ValueError):
             parse_denoiser_spec(bad)
 
@@ -455,6 +455,8 @@ def test_sample_names_a_bad_trajectory_count(tmp_path, monkeypatch, capsys):
     (["kernel", "--beta", "1_0"], 2),
     (["rotate", "--in", "in.pgm", "--phi", "0_5"], 2),
     (["sample", "--config", "classical", "--shape", "1x1_6x16"], 2),
+    # 2: a denoiser argument given twice
+    (["sample", "--config", "classical", "--denoiser", "gaussian:mu=1,mu=-1,sigma0=0.1"], 2),
 ])
 def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)

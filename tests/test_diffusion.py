@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from aliasfree import (FILL_MODES, AnalyticGaussianDenoiser, ConstantDenoiser,
-                       GaussianDataSpec, ZeroDenoiser, forward_noise,
-                       linear_schedule, rotate, sample_classical,
-                       sample_rotated, training_loss)
+                       FilterSpec, GaussianDataSpec, ZeroDenoiser, convolve2d,
+                       design_kernel, forward_noise, linear_schedule, rotate,
+                       sample_classical, sample_rotated, training_loss)
 from aliasfree import rng as rng_module
+from aliasfree.cli import parse_shape
 from aliasfree.rng import Rng
 
 from _oracles import sample_rotated_per_step, training_loss_per_draw
@@ -399,6 +400,40 @@ def test_rotated_sampler_rejects_bad_phi_or_shape_before_any_work(phi, shape, ma
         sample_rotated(den, linear_schedule(10), shape, phi, rng)
     assert rng._count == 0
     assert den.calls == []
+
+
+def _sampler_entry(phi):
+    def entry(shape):
+        den, rng = Recorder(ZeroDenoiser()), Rng(3)
+        try:
+            sample_rotated(den, linear_schedule(10), shape, phi, rng)
+        finally:
+            assert rng._count == 0
+            assert den.calls == []
+    return entry
+
+
+# every entry that takes an image, a sample shape or --shape text
+_IMAGE_SHAPE_ENTRIES = {
+    "convolve2d": lambda shape: convolve2d(
+        np.zeros(shape), design_kernel(FilterSpec(1.0, True))),
+    "rotate": lambda shape: rotate(np.zeros(shape), 0.3),
+    "sample_rotated_phi0": _sampler_entry(0.0),
+    "sample_rotated_phi0.3": _sampler_entry(0.3),
+    "GaussianDataSpec": lambda shape: GaussianDataSpec(0.0, 1.0, shape),
+    "parse_shape": lambda shape: parse_shape("x".join(map(str, shape))),
+}
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (1, 1, 8, 8), (1, 0, 8), (0, 8, 8)])
+def test_every_entry_gives_one_message_for_a_bad_image_shape(shape):
+    messages = {}
+    for name, entry in _IMAGE_SHAPE_ENTRIES.items():
+        with pytest.raises(ValueError) as info:
+            entry(shape)
+        messages[name] = str(info.value)
+    want = f"expected a C x H x W shape with no empty axis, got {shape}"
+    assert messages == dict.fromkeys(_IMAGE_SHAPE_ENTRIES, want)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.3])

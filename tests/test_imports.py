@@ -64,9 +64,10 @@ def test_every_private_helper_is_used(path):
 
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
-PRIVATE_IMPORTS = {"cli.py": {"_whole"}, "diffusion.py": {"_whole", "_rotator"},
-                   "filter_design.py": {"_whole"}, "rotation.py": {"_linear_plan"},
-                   "spectral.py": {"_whole"}}
+PRIVATE_IMPORTS = {"cli.py": {"_whole", "_image_shape"},
+                   "diffusion.py": {"_whole", "_rotator", "_image_shape"},
+                   "filter_design.py": {"_whole"}, "resample.py": {"_whole"},
+                   "rotation.py": {"_linear_plan", "_image_shape"}, "spectral.py": {"_whole"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -138,3 +139,23 @@ def test_the_sampler_states_no_rotation_rule():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "_rotator"]
     assert len(calls) == 1
+
+
+def test_the_image_shape_rule_is_written_once():
+    """resample._image_shape is the one place that asks for three sides;
+    every entry taking an image, a sample shape or --shape text calls it."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sum(text.count("!= 3") for text in sources.values()) == 1
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    rule = next(node for node in trees["resample.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_image_shape")
+    assert "!= 3" in ast.get_source_segment(sources["resample.py"], rule)
+    entries = {"resample.py": {"check_image"}, "rotation.py": {"_rotator"},
+               "diffusion.py": {"GaussianDataSpec", "sample_rotated"},
+               "cli.py": {"parse_shape"}}
+    for module, names in entries.items():
+        calling = {node.name for node in trees[module].body
+                   if getattr(node, "name", None) in names
+                   and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                           and call.func.id == "_image_shape" for call in ast.walk(node))}
+        assert calling == names, module

@@ -252,6 +252,11 @@ def test_config_name_validation():
         PipelineConfig("D")
     with pytest.raises(ValueError):
         PipelineConfig("E")
+    # names cover the default kernel size and cutoff only, so each one parses back equal
+    for config in (PipelineConfig("D", FilterSpec(4.0, True, kernel_size=9)),
+                   PipelineConfig("B", FilterSpec(1.0, False, cutoff=1.0))):
+        with pytest.raises(ValueError, match="kernel_size 3 and cutoff pi/2 only"):
+            config_name(config)
 
 
 def test_apply_pipeline_compositions():
