@@ -109,6 +109,17 @@ def relu(values) -> np.ndarray:
     return np.maximum(np.asarray(values, dtype=float), 0.0)
 
 
+def _gelu_into(flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write gelu of the 1-D `flat` into `out` (which may be `flat`) block by block."""
+    with np.errstate(invalid="ignore"):  # a signalling nan gives nan, as a quiet one does
+        for i in range(0, flat.size, _BLOCK):
+            block = flat[i:i + _BLOCK]
+            # -inf floored to the least double gives -0.0; every other value passes unchanged
+            out[i:i + _BLOCK] = (np.maximum(block, np.finfo(float).min) * 0.5
+                                 * (1.0 + _erf(block * _INV_SQRT2)))
+    return out
+
+
 def gelu(values) -> np.ndarray:
     """Exact Gaussian-CDF form: v * Phi(v) = v * 0.5 * (1 + erf(v / sqrt 2)).
 
@@ -119,22 +130,18 @@ def gelu(values) -> np.ndarray:
     -0.0, the limit, where the formula would give -inf * 0 = nan.
     """
     v = np.asarray(values, dtype=float)
-    flat = v.ravel()
-    out = np.empty(flat.size)
-    with np.errstate(invalid="ignore"):  # a signalling nan gives nan, as a quiet one does
-        for i in range(0, flat.size, _BLOCK):
-            block = flat[i:i + _BLOCK]
-            # -inf floored to the least double gives -0.0; every other value passes unchanged
-            out[i:i + _BLOCK] = (np.maximum(block, np.finfo(float).min) * 0.5
-                                 * (1.0 + _erf(block * _INV_SQRT2)))
-    return out.reshape(v.shape)[()]  # a 0-d input gets a scalar back, as from a ufunc
+    return _gelu_into(v.ravel(), np.empty(v.size)).reshape(v.shape)[()]  # 0-d in, scalar out
+
+
+def _check_act(act: str) -> None:
+    if act not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
 
 
 def apply_pointwise(img, act: str) -> np.ndarray:
     """Apply a named nonlinearity elementwise to an image tensor."""
     arr = check_image(img)
-    if act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
+    _check_act(act)
     return relu(arr) if act == "relu" else gelu(arr)
 
 
@@ -143,7 +150,14 @@ def wrapped_activation(img, act: str, kernel: Kernel2D,
     """Upsample 2x, apply the nonlinearity, downsample 2x.
 
     Resolution is unchanged end to end. Both rate changes use the same
-    anti-aliasing kernel and padding rule.
+    anti-aliasing kernel and padding rule. `act` is checked first, and the
+    nonlinearity runs in place on the fresh upsampled array.
     """
+    _check_act(act)
     up = upsample2x_af(img, kernel, padding)
-    return downsample2x_af(apply_pointwise(up, act), kernel, padding)
+    flat = up.reshape(-1)  # a view: the fresh upsample is C-contiguous
+    if act == "relu":
+        np.maximum(flat, 0.0, out=flat)
+    else:
+        _gelu_into(flat, flat)
+    return downsample2x_af(up, kernel, padding)

@@ -62,6 +62,16 @@ def _number(cast):
 _int, _float = _number(int), _number(float)
 
 
+def _argument(parse):
+    """`parse` as an argparse type, which prints the text of its ValueError (exit 2)."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
 def parse_angle(text: str) -> float:
     """Finite float radians, with the convenience token half-pi."""
     angle = HALF_PI if text.strip() == "half-pi" else _float(text)
@@ -194,7 +204,7 @@ def _add_filter_flags(parser, with_size=True):
     if with_size:
         parser.add_argument("--size", type=_int, default=3,
                             help="odd kernel size (default 3)")
-        parser.add_argument("--cutoff", type=parse_angle, default=HALF_PI,
+        parser.add_argument("--cutoff", type=_argument(parse_angle), default=HALF_PI,
                             help="angular cutoff in radians, or half-pi (default)")
 
 
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("rotate", cmd_rotate, "rotate a raster image")
     p.add_argument("--in", dest="input", required=True, help="input PGM/PPM path")
-    p.add_argument("--phi", type=parse_angle, required=True,
+    p.add_argument("--phi", type=_argument(parse_angle), required=True,
                    help="angle in radians, counterclockwise positive")
     p.add_argument("--fill", choices=FILL_MODES, default="replicate")
 
@@ -250,16 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-start", type=_float, default=1e-4)
     p.add_argument("--beta-end", type=_float, default=0.02)
     p.add_argument("--sigma-mode", choices=SIGMA_MODES, default="beta")
-    p.add_argument("--shape", type=parse_shape, default=(1, 8, 8),
+    p.add_argument("--shape", type=_argument(parse_shape), default=(1, 8, 8),
                    help="CxHxW sample shape (default 1x8x8)")
-    p.add_argument("--denoiser", type=parse_denoiser_spec,
+    p.add_argument("--denoiser", type=_argument(parse_denoiser_spec),
                    default=("gaussian", {"mu": 0.0, "sigma0": 1.0}),
                    help="zero | constant:v=V | gaussian:mu=M,sigma0=S "
                         "(default gaussian:mu=0,sigma0=1)")
     p.add_argument("--n", type=_int, default=1, help="number of trajectories")
     p.add_argument("--seed", type=_int, default=0,
                    help="trajectory i uses the stream seeded seed XOR i (default 0)")
-    p.add_argument("--phi", type=parse_angle, default=0.0,
+    p.add_argument("--phi", type=_argument(parse_angle), default=0.0,
                    help="total rotation; only --config rotated takes a nonzero angle")
     p.add_argument("--fill", choices=FILL_MODES, default="replicate")
 
@@ -268,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipeline", choices=PIPELINE_KINDS, default="D",
                    help="pipeline kind for the equivariance report")
     _add_filter_flags(p, with_size=False)
-    p.add_argument("--phi", type=parse_angle, default=math.pi / 4,
+    p.add_argument("--phi", type=_argument(parse_angle), default=math.pi / 4,
                    help="test rotation for the equivariance report")
     p.add_argument("--count", type=_int, default=8, help="corpus image count")
     p.add_argument("--N", type=_int, default=64, help="corpus image size")

@@ -4,7 +4,8 @@ Only maxval 255 is supported. Decoded bytes map to floats by
 v / 127.5 - 1, so 0 -> -1.0, 255 -> +1.0, and 128 -> exactly 0 on the
 way back in. Encoding clamps to [-1, 1] and rounds half up, so a float
 0.0 lands on byte 128. Tensors are C x H x W with C = 1 for P5 and
-C = 3 for P6; P6 payloads interleave RGB per pixel.
+C = 3 for P6; P6 payloads interleave RGB per pixel. Each direction works
+in place in the one float buffer it makes, never in the caller's array.
 """
 
 import numpy as np
@@ -27,13 +28,25 @@ class RasterParseError(ValueError):
 
 def byte_to_float(values) -> np.ndarray:
     """Map uint8 sample values onto [-1, 1]."""
-    return np.asarray(values).astype(float) / 127.5 - 1.0
+    v = np.asarray(values).astype(float)
+    v /= 127.5
+    v -= 1.0
+    return v[()]  # a 0-d input gets a scalar back
+
+
+def _quantized(values) -> np.ndarray:
+    """The one encode rule, floor((clip(v, -1, 1) + 1) * 127.5 + 0.5), as floats."""
+    v = np.asarray(values, dtype=float)
+    v = np.clip(v, -1.0, 1.0, out=np.empty(v.shape))
+    v += 1.0
+    v *= 127.5
+    v += 0.5
+    return np.floor(v, out=v)
 
 
 def float_to_byte(values) -> np.ndarray:
     """Clamp to [-1, 1] and quantize, rounding halves up."""
-    v = np.clip(np.asarray(values, dtype=float), -1.0, 1.0)
-    return np.floor((v + 1.0) * 127.5 + 0.5).astype(np.uint8)
+    return _quantized(values).astype(np.uint8)[()]  # a 0-d input gets a scalar back
 
 
 def _parse_int(data: bytes, pos: int, what: str):
@@ -98,6 +111,6 @@ def write_raster(img) -> bytes:
     arr = check_image(img)
     C, H, W = arr.shape
     magic, _ = raster_format(C)
-    payload = np.ascontiguousarray(np.moveaxis(float_to_byte(arr), 0, 2))
-    header = f"{magic}\n{W} {H}\n255\n".encode("ascii")
-    return header + payload.tobytes()
+    payload = np.empty((H, W, C), np.uint8)
+    payload[...] = np.moveaxis(_quantized(arr), 0, 2)
+    return f"{magic}\n{W} {H}\n255\n".encode("ascii") + payload.data

@@ -39,13 +39,17 @@ def _image_shape(shape) -> tuple:
     return tuple(_whole(side, "shape side") for side in shape)
 
 
+def _check_finite(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("image values must be finite")
+    return arr
+
+
 def check_image(img) -> np.ndarray:
     """Validate a tensor of `_image_shape` with finite values; return it as float64."""
     arr = np.asarray(img, dtype=float)
     _image_shape(arr.shape)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("image values must be finite")
-    return arr
+    return _check_finite(arr)
 
 
 def _require_even(arr):
@@ -89,7 +93,7 @@ def _filtered(arr, kernel: Kernel2D, padding: str, up: int = 1, down: int = 1) -
                 acc += kernel.taps[di, dj] * src[:, i: i + H: down, j: j + W: down]
         if up == 1:
             return acc
-        out[:, a::up, b::up] = up * up * acc
+        np.multiply(acc, up * up, out=out[:, a::up, b::up])
     return out
 
 
@@ -125,6 +129,14 @@ def _linear_plan(src, n: int):
     return i0, np.minimum(i0 + 1, n - 1), 1.0 - f, f
 
 
+def _blend(w0, x0, w1, x1) -> np.ndarray:
+    """w0 * x0 + w1 * x1, written into x0 and x1, fresh arrays of the result's shape."""
+    x0 *= w0
+    x1 *= w1
+    x0 += x1
+    return x0
+
+
 def upsample2x_naive(img) -> np.ndarray:
     """Align-corners bilinear doubling.
 
@@ -140,5 +152,5 @@ def upsample2x_naive(img) -> np.ndarray:
     c0, c1, wc0, wc1 = _linear_plan(np.arange(2 * W) * (W - 1) / (2 * W - 1), W)
     # columns at the H input rows, then rows: each output is the same blend
     # of the same four samples as a two-dimensional bilinear gather
-    cols = wc0 * arr.take(c0, axis=2) + wc1 * arr.take(c1, axis=2)
-    return wr0[:, None] * cols.take(r0, axis=1) + wr1[:, None] * cols.take(r1, axis=1)
+    cols = _blend(wc0, arr.take(c0, axis=2), wc1, arr.take(c1, axis=2))
+    return _blend(wr0[:, None], cols.take(r0, axis=1), wr1[:, None], cols.take(r1, axis=1))

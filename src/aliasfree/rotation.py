@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .resample import _image_shape, _linear_plan, check_image
+from .resample import _blend, _check_finite, _image_shape, _linear_plan
 
 FILL_MODES = ("replicate", "zero")
 
@@ -55,10 +55,10 @@ def _rotator(shape, phi, fill: str):
         # every plane turns alike, so a stack rides in the channel axis;
         # gather by flat index: take along one axis is numpy's fastest gather
         arr = np.asarray(arr, dtype=float)
-        flat = check_image(arr.reshape(-1, H, W)).reshape(-1, H * W)
-        top = wc0 * flat.take(i00, axis=1) + wc1 * flat.take(i01, axis=1)
-        bottom = wc0 * flat.take(i10, axis=1) + wc1 * flat.take(i11, axis=1)
-        out = wr0 * top + wr1 * bottom
+        flat = _check_finite(arr.reshape(-1, H * W))
+        top = _blend(wc0, flat.take(i00, axis=1), wc1, flat.take(i01, axis=1))
+        bottom = _blend(wc0, flat.take(i10, axis=1), wc1, flat.take(i11, axis=1))
+        out = _blend(wr0, top, wr1, bottom)
         return (out if fill == "replicate" else np.where(inside, out, 0.0)).reshape(arr.shape)
     return turn
 

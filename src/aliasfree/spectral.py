@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .activation import ACTIVATIONS, apply_pointwise, wrapped_activation
+from .activation import _check_act, apply_pointwise, wrapped_activation
 from .filter_design import HALF_PI, FilterSpec, Kernel2D, design_kernel
 from .resample import (PADDING_MODES, check_image, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
@@ -174,8 +174,7 @@ def parse_config_name(name: str) -> PipelineConfig:
 def pipeline_stages(config: PipelineConfig, act: str = "relu", padding: str = "reflect"):
     """(down, act, up) of a pipeline, each a function of one C x H x W image.
     `act` and `padding` (its filters' border rule) are checked here, for every kind."""
-    if act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
+    _check_act(act)
     if padding not in PADDING_MODES:
         raise ValueError(f"unknown padding mode {padding!r}")
     af, wrapped = _KINDS[config.kind]

@@ -1,0 +1,168 @@
+"""The raster path writes only into buffers it made itself.
+
+Encoding quantizes its one clamped copy in place, the wrapped
+nonlinearity runs in place on its own upsampled array, and the bilinear
+blends multiply and add into the arrays their gathers return. These tests
+hold that to three things: a caller's array is never written, the traced
+peak stays at the buffers the path needs, and the bytes are those of the
+out-of-place formulas, of the oracles, and of pins recorded before the
+buffers were reused.
+"""
+
+import hashlib
+import math
+import platform
+
+import numpy as np
+import pytest
+
+from aliasfree import (FilterSpec, apply_pointwise, byte_to_float, design_kernel,
+                       downsample2x_af, float_to_byte, gelu, relu, rotate, upsample2x_af,
+                       upsample2x_naive, wrapped_activation, write_raster)
+
+from _oracles import bilinear_gather_2d
+from test_resample import traced_peak
+
+K1N = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
+PHI = 0.4487989505
+
+
+def edge_input(noncontiguous):
+    """3 x 12 x 10 float64 on [-1.3, 1.3] with signed zeros, the clamp edges and
+    a tiny value, as a C-contiguous array or a strided view of a larger one."""
+    big = np.random.default_rng(7).uniform(-1.3, 1.3, (3, 24, 20))
+    x = big[:, ::2, 1::2] if noncontiguous else np.ascontiguousarray(big[:, ::2, 1::2])
+    x[0, 0, :6] = (-0.0, 0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), 5e-324)
+    return x
+
+
+CALLS = {
+    "write_raster": write_raster,
+    "float_to_byte": float_to_byte,
+    "upsample2x_af": lambda x: upsample2x_af(x, K1N),
+    "upsample2x_naive": upsample2x_naive,
+    "downsample2x_af": lambda x: downsample2x_af(x, K1N),
+    "wrapped relu": lambda x: wrapped_activation(x, "relu", K1N),
+    "wrapped gelu": lambda x: wrapped_activation(x, "gelu", K1N, "zero"),
+    "apply_pointwise gelu": lambda x: apply_pointwise(x, "gelu"),
+    "relu": relu,
+    "gelu": gelu,
+    "rotate replicate": lambda x: rotate(x, PHI),
+    "rotate zero": lambda x: rotate(x, PHI, "zero"),
+    "rotate by zero": lambda x: rotate(x, 0.0),
+}
+
+
+@pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))
+@pytest.mark.parametrize("name", CALLS)
+def test_a_float64_input_is_never_written(name, noncontiguous):
+    x = edge_input(noncontiguous)
+    before = x.tobytes()
+    out = CALLS[name](x)
+    assert x.tobytes() == before
+    assert isinstance(out, bytes) or not np.shares_memory(out, x)
+
+
+def test_peak_of_write_raster_is_one_float_buffer():
+    # the clamped copy plus the byte payload: about 1.13x the image, where
+    # clip, the quantize chain, astype and a contiguous copy took 3.0x
+    x = np.random.default_rng(1).uniform(-1.2, 1.2, (3, 128, 128))
+    assert traced_peak(write_raster, x) < 1.5 * x.nbytes
+
+
+@pytest.mark.parametrize("act", ("relu", "gelu"))
+@pytest.mark.parametrize("padding", ("reflect", "zero"))
+def test_the_wrapped_nonlinearity_holds_one_doubled_grid(act, padding):
+    # about 2.56x the upsampled bytes, one doubled-grid buffer less than
+    # evaluating the nonlinearity into a fresh array (3.56x)
+    x = np.random.default_rng(2).uniform(-1.2, 1.2, (3, 128, 128))
+    assert traced_peak(wrapped_activation, x, act, K1N, padding) < 3.0 * 4 * x.nbytes
+
+
+def test_naive_upsample_blends_into_its_gathers():
+    # about 2.55x its output's bytes, where out-of-place blends took 3.55x
+    x = np.random.default_rng(3).uniform(-1.2, 1.2, (3, 128, 128))
+    assert traced_peak(upsample2x_naive, x) < 3.0 * 4 * x.nbytes
+
+
+def _quantize_out_of_place(x):
+    return np.floor((np.clip(x, -1.0, 1.0) + 1.0) * 127.5 + 0.5).astype(np.uint8)
+
+
+@pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))
+def test_encoding_equals_the_out_of_place_formula_bitwise(noncontiguous):
+    halves = (np.arange(256) + 0.5) / 127.5 - 1.0  # every rounding edge, and a ulp each side
+    edges = np.concatenate([halves, np.nextafter(halves, -2.0), np.nextafter(halves, 2.0),
+                            edge_input(False).ravel()])
+    x = np.resize(edges, (3, 16, 24))
+    if noncontiguous:
+        big = np.zeros((3, 32, 48))
+        big[:, ::2, ::2] = x
+        x = big[:, ::2, ::2]
+    want = _quantize_out_of_place(x)
+    assert float_to_byte(x).tobytes() == want.tobytes()
+    C, H, W = x.shape
+    payload = np.ascontiguousarray(np.moveaxis(want, 0, 2)).tobytes()
+    assert write_raster(x) == f"P6\n{W} {H}\n255\n".encode("ascii") + payload
+    assert write_raster(x[:1]) == f"P5\n{W} {H}\n255\n".encode("ascii") + want[0].tobytes()
+    assert float_to_byte(-0.0) == np.uint8(128) and np.ndim(float_to_byte(-0.0)) == 0
+
+
+def test_decoding_equals_the_out_of_place_formula_bitwise():
+    pixels = np.random.default_rng(4).integers(0, 256, (5, 7, 3), dtype=np.uint8)
+    pixels[0, 0] = (0, 128, 255)
+    planes = np.moveaxis(pixels, 2, 0)  # read_raster's strided C x H x W view
+    want = planes.astype(float) / 127.5 - 1.0
+    got = byte_to_float(planes)
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    assert byte_to_float(np.uint8(128)) == want[1, 0, 0] and np.ndim(byte_to_float(0)) == 0
+
+
+@pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))
+def test_wrapped_nonlinearity_equals_pointwise_on_the_upsample_bitwise(noncontiguous):
+    x = edge_input(noncontiguous)
+    for act in ("relu", "gelu"):
+        for padding in ("reflect", "zero"):
+            want = downsample2x_af(apply_pointwise(upsample2x_af(x, K1N, padding), act),
+                                   K1N, padding)
+            assert wrapped_activation(x, act, K1N, padding).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))
+def test_blends_equal_the_gather_oracle_bitwise(noncontiguous):
+    x = edge_input(noncontiguous)
+    C, H, W = x.shape
+    u = np.arange(2 * H) * (H - 1) / (2 * H - 1)
+    v = np.arange(2 * W) * (W - 1) / (2 * W - 1)
+    assert upsample2x_naive(x).tobytes() == bilinear_gather_2d(x, u[:, None], v[None, :]).tobytes()
+    # rotate's inverse map at an angle cos and sin leave unsnapped
+    c, s = math.cos(PHI), math.sin(PHI)
+    dr, dc = np.arange(H)[:, None] - (H - 1) / 2.0, np.arange(W)[None, :] - (W - 1) / 2.0
+    src_r, src_c = (H - 1) / 2.0 + c * dr + s * dc, (W - 1) / 2.0 - s * dr + c * dc
+    want = bilinear_gather_2d(x, src_r, src_c)
+    assert rotate(x, PHI).tobytes() == want.tobytes()
+    inside = (src_r >= 0) & (src_r <= H - 1) & (src_c >= 0) & (src_c <= W - 1)
+    assert rotate(x, PHI, "zero").tobytes() == np.where(inside, want, 0.0).tobytes()
+
+
+# SHA-256 (first 16 hex digits) of each output for edge_input's strided form,
+# recorded from the out-of-place code; kernel design and rotation angles go
+# through libm's cos and sin, so the bits are pinned on glibc only
+PINS = {
+    "write_raster": "edc687c1faeaddf8",
+    "upsample2x_naive": "b6dd409831e7be7e",
+    "upsample2x_af": "d82e6b2b95fb657d",
+    "downsample2x_af": "06e6a49b09e2b993",
+    "wrapped relu": "a25d7ff3d3a1e308",
+    "wrapped gelu": "297033ea45f2dc2b",
+    "rotate replicate": "27043e79b94e3487",
+    "rotate zero": "768f491d92176060",
+}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins recorded with glibc's libm")
+@pytest.mark.parametrize("name", PINS)
+def test_bytes_equal_the_out_of_place_pins(name):
+    out = CALLS[name](edge_input(noncontiguous=True))
+    data = out if isinstance(out, bytes) else str(out.shape).encode() + out.tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == PINS[name]

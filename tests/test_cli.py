@@ -392,6 +392,26 @@ def test_runtime_error_message_on_stderr(tmp_path, capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--config", "classical", "--shape", "8x8"],
+     "argument --shape: expected a C x H x W shape with no empty axis, got (8, 8)"),
+    (["sample", "--config", "rotated", "--phi", "inf"],
+     "argument --phi: angle 'inf' is not finite"),
+    (["rotate", "--in", "in.pgm", "--phi", "0_5"], "argument --phi: number '0_5' contains '_'"),
+    (["kernel", "--cutoff", "nan"], "argument --cutoff: angle 'nan' is not finite"),
+    (["sample", "--config", "classical", "--denoiser", "gaussian:mu=1,mu=-1,sigma0=0.1"],
+     "argument --denoiser: denoiser argument 'mu' given twice"),
+    (["sample", "--config", "classical", "--denoiser", "tanh"],
+     "argument --denoiser: unknown denoiser kind 'tanh'"),
+], ids=("shape", "phi-inf", "phi-underscore", "cutoff-nan", "denoiser-twice", "denoiser-kind"))
+def test_a_rejected_parse_prints_its_own_message(tmp_path, capsys, argv, message):
+    # argparse shows an ArgumentTypeError's text; for a ValueError it would print
+    # only "invalid parse_shape value: '8x8'"
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _sampler_must_not_run(*args, **kwargs):
     raise AssertionError("the sampler ran on a command it should have rejected")
 

@@ -67,7 +67,8 @@ def test_every_private_helper_is_used(path):
 PRIVATE_IMPORTS = {"cli.py": {"_whole", "_image_shape"},
                    "diffusion.py": {"_whole", "_rotator", "_image_shape"},
                    "filter_design.py": {"_whole"}, "resample.py": {"_whole"},
-                   "rotation.py": {"_linear_plan", "_image_shape"}, "spectral.py": {"_whole"}}
+                   "rotation.py": {"_blend", "_check_finite", "_linear_plan", "_image_shape"},
+                   "spectral.py": {"_check_act", "_whole"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aliasfree import FILL_MODES, band_limited_corpus, rotate
+from aliasfree import FILL_MODES, band_limited_corpus, linear_schedule, rotate, sample_rotated
 from aliasfree.rng import Rng
 
 from _oracles import bilinear_rotate_loops
@@ -124,3 +124,21 @@ def test_validation():
         rotate(np.zeros((1, 4, 4)), 0.3, "wrap")
     with pytest.raises(ValueError):
         rotate(np.full((1, 4, 4), np.nan), 0.3)
+
+
+class _NanDenoiser:
+    def predict(self, x_t, t):
+        return np.full_like(x_t, np.nan)
+
+
+def test_a_non_finite_state_fails_every_turn(monkeypatch):
+    for bad in (np.nan, np.inf, -np.inf):
+        img = np.zeros((2, 5, 4))
+        img[1, 3, 2] = bad
+        with pytest.raises(ValueError, match="image values must be finite"):
+            rotate(img, 0.3)
+    shapes = []  # a turn checks values only: the plan fixed the shape
+    monkeypatch.setattr("aliasfree.resample._image_shape", lambda shape: shapes.append(shape))
+    with pytest.raises(ValueError, match="image values must be finite"):
+        sample_rotated(_NanDenoiser(), linear_schedule(4), (1, 6, 6), 0.3, Rng([1, 2]))
+    assert shapes == []
