@@ -12,6 +12,8 @@ repeated --denoiser argument, a number with an underscore such as --T 1_0),
 and 1 when a command rejects a value or an input while running (--T 0, a
 2-channel sample shape, classical sampling with --phi 1, an unreadable file).
 A filter design_kernel rejects (--beta 800) exits 1 before any input is read.
+main builds its parser once per process; band_limited_corpus keeps its most
+recent corpus, read-only and one at a time, and hands each analyze a copy.
 
 Examples:
 
@@ -30,8 +32,10 @@ and so on); trajectory i draws from its own stream seeded with seed XOR i.
 """
 
 import argparse
+import functools
 import math
 import sys
+import types
 
 import numpy as np
 
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", type=_argument(parse_shape), default=(1, 8, 8),
                    help="CxHxW sample shape (default 1x8x8)")
     p.add_argument("--denoiser", type=_argument(parse_denoiser_spec),
-                   default=("gaussian", {"mu": 0.0, "sigma0": 1.0}),
+                   default=("gaussian", types.MappingProxyType({"mu": 0.0, "sigma0": 1.0})),
                    help="zero | constant:v=V | gaussian:mu=M,sigma0=S "
                         "(default gaussian:mu=0,sigma0=1)")
     p.add_argument("--n", type=_int, default=1, help="number of trajectories")
@@ -286,10 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -21,7 +21,7 @@ kernel of the default size and cutoff; config A carries no filter at all.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -107,11 +107,18 @@ def band_limited_corpus(count: int = 8, size: int = 64, seed: int = 2024) -> np.
     is rescaled to peak magnitude 0.8. The 20 percent guard band below
     the resampling cutoff means any above-cutoff energy seen after
     processing was created by the pipeline under test, not carried in.
+    The most recent corpus is kept, read-only, and each call returns a
+    writable copy of it.
     """
     count = _whole(count, "count", 1)
     size = _whole(size, "size", 16)
     if size % 2:
         raise ValueError(f"size must be even, got {size}")
+    return _corpus(count, size, _whole(seed, "seed")).copy()
+
+
+@lru_cache(maxsize=1)
+def _corpus(count: int, size: int, seed: int) -> np.ndarray:
     kmax = math.ceil(0.2 * size) - 1  # largest k with 2 pi k / size < 0.4 pi
     ks = np.fft.fftfreq(size, d=1.0 / size).astype(int)
     keep = np.abs(ks) <= kmax
@@ -120,7 +127,9 @@ def band_limited_corpus(count: int = 8, size: int = 64, seed: int = 2024) -> np.
     noise = Rng([seed ^ i for i in range(count)]).normal((size, size))
     imgs = np.fft.ifft2(np.fft.fft2(noise) * mask).real
     peaks = np.max(np.abs(imgs), axis=(1, 2), keepdims=True)
-    return (imgs * (0.8 / peaks))[:, None]
+    corpus = (imgs * (0.8 / peaks))[:, None]
+    corpus.flags.writeable = False
+    return corpus
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from aliasfree import (FilterSpec, PipelineConfig, alias_energy, apply_pointwise
                        kernel_from_text, linear_schedule, read_raster,
                        sample_classical, upsample2x_af, upsample2x_naive,
                        wrapped_activation, write_raster)
+from aliasfree import cli
 from aliasfree.cli import (build_parser, main, parse_angle, parse_denoiser_spec,
                           parse_shape)
 from aliasfree.diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
@@ -482,3 +483,68 @@ def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)
     assert run(*argv, "--out", str(tmp_path / "out")) == code
     assert list(tmp_path.iterdir()) == []
+
+
+def _counted_build(monkeypatch):
+    """Count parser builds: main's cached parser comes from cli.build_parser."""
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return built
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = _counted_build(monkeypatch)
+    for i in range(5):
+        assert run("kernel", "--size", str(2 * i + 1), "--out", str(tmp_path / f"k{i}.txt")) == 0
+    assert run("kernel", "--size", "x", "--out", str(tmp_path / "bad.txt")) == 2
+    assert run("--help") == 0
+    assert built == [1]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["kernel"],
+    ["kernel", "--seed", "1", "--out", "k.txt"],
+    ["sample", "--config", "classical", "--shape", "8x8", "--out", "s"],
+    ["sample", "--config", "classical", "--denoiser", "gaussian:mu=1,mu=-1,sigma0=0.1",
+     "--out", "s"],
+    ["analyze", "--report", "equivariance", "--phi", "inf", "--out", "a.csv"],
+], ids=["no-command", "no-out", "seed", "shape", "denoiser-twice", "phi-inf"])
+def test_a_rejected_command_line_reads_the_same_after_a_good_one(
+        tmp_path, monkeypatch, capsys, argv):
+    # the parser is kept for the process, so no parse may leave state in it
+    built = _counted_build(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    for good in (["kernel", "--beta", "2", "--normalized", "--size", "5", "--out", "k.txt"],
+                 ["sample", "--config", "classical", "--T", "3", "--denoiser", "zero",
+                  "--n", "2", "--seed", "4", "--out", "s"],
+                 ["analyze", "--report", "alias", "--count", "1", "--N", "16",
+                  "--out", "a.csv"]):
+        seen.append((run(*argv), capsys.readouterr()))
+        assert run(*good) == 0
+    seen.append((run(*argv), capsys.readouterr()))
+    assert seen[0][0] == 2 and seen[0][1].err.startswith("usage: aliasfree")
+    assert seen == [seen[0]] * 4
+    assert built == [1]
+
+
+def test_the_default_denoiser_is_read_only_and_gives_the_same_bytes_each_call(
+        tmp_path, monkeypatch):
+    built = _counted_build(monkeypatch)
+    argv = ["sample", "--config", "classical", "--T", "5", "--n", "2", "--seed", "3"]
+    blobs = []
+    for call in range(2):
+        assert run(*argv, "--out", str(tmp_path / f"s{call}")) == 0
+        blobs.append([(tmp_path / f"s{call}-{i:03d}.pgm").read_bytes() for i in range(2)])
+    assert blobs[0] == blobs[1]
+    assert built == [1]
+    _, values = cli._parser().parse_args([*argv, "--out", "s"]).denoiser
+    assert values == {"mu": 0.0, "sigma0": 1.0}
+    with pytest.raises(TypeError):
+        values["mu"] = 2.0

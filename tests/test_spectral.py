@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from aliasfree import (FilterSpec, PipelineConfig, alias_energy,
                        parse_config_name, rotate, spectrum_freqs,
                        upsample2x_af, upsample2x_naive, wrapped_activation)
 from aliasfree import spectral
+from aliasfree.cli import main
 from aliasfree.rng import Rng
 
 from _oracles import dft2_loops
@@ -175,6 +177,7 @@ def test_fractional_sizes_raise_before_any_work(monkeypatch):
     monkeypatch.setattr(spectral, "dft2", no_work)
     for call, name in ((lambda: band_limited_corpus(2.5, 16, 1), "count"),
                        (lambda: band_limited_corpus(2, 16.7, 1), "size"),
+                       (lambda: band_limited_corpus(2, 16, 2.5), "seed"),
                        (lambda: spectrum_freqs(4.7), "N"),
                        (lambda: freq_response(kernel, 8.9), "N")):
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
@@ -187,6 +190,8 @@ def test_fractional_sizes_raise_before_any_work(monkeypatch):
     (lambda kernel: band_limited_corpus(0, 16, 1), "count must be >= 1, got 0"),
     (lambda kernel: band_limited_corpus(2, 8, 1), "size must be >= 16, got 8"),
     (lambda kernel: band_limited_corpus(2, 17, 1), "size must be even, got 17"),
+    (lambda kernel: band_limited_corpus(2, 16, 2.5), "seed must be a whole number, got 2.5"),
+    (lambda kernel: band_limited_corpus(2, 16, math.inf), "seed must be a whole number, got inf"),
 ])
 def test_sizes_below_their_least_raise_before_any_work(monkeypatch, call, message):
     kernel = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
@@ -205,6 +210,12 @@ def test_whole_float_and_numpy_sizes_equal_int_sizes():
     want = band_limited_corpus(2, 16, 1)
     for count, size in ((2.0, 16.0), (np.int64(2), np.int32(16))):
         assert band_limited_corpus(count, size, 1).tobytes() == want.tobytes()
+    # a whole float or numpy seed builds its int's corpus on a cold cache too
+    builds = []
+    for seed in (2024, 2024.0, np.int64(2024)):
+        spectral._corpus.cache_clear()
+        builds.append(band_limited_corpus(2, 16, seed).tobytes())
+    assert builds == [builds[0]] * 3
     assert spectrum_freqs(8.0).tobytes() == spectrum_freqs(8).tobytes()
     assert freq_response(kernel, np.int64(8)).tobytes() == freq_response(kernel, 8).tobytes()
 
@@ -386,3 +397,120 @@ def test_alias_free_pipeline_wins_at_oblique_angles():
     for x in img:
         assert (equivariance_error(config_d, x, math.pi / 4)
                 < equivariance_error(PipelineConfig("A"), x, math.pi / 4))
+
+
+def _counted_rng(monkeypatch):
+    """Count the corpus builds: each one constructs one Rng in spectral."""
+    built = []
+
+    def counted(seed):
+        built.append(seed)
+        return Rng(seed)
+    monkeypatch.setattr(spectral, "Rng", counted)
+    return built
+
+
+def test_a_repeated_corpus_is_built_once(monkeypatch):
+    spectral._corpus.cache_clear()
+    built = _counted_rng(monkeypatch)
+    first = band_limited_corpus(3, 16, 5)
+    for _ in range(4):
+        assert band_limited_corpus(3, 16, 5).tobytes() == first.tobytes()
+    assert built == [[5, 4, 7]]
+
+
+def test_a_new_corpus_is_built_and_only_the_latest_is_held(monkeypatch):
+    spectral._corpus.cache_clear()
+    built = _counted_rng(monkeypatch)
+    for count, size, seed in ((2, 16, 5), (2, 16, 6), (2, 32, 6), (3, 32, 6), (2, 16, 5)):
+        band_limited_corpus(count, size, seed)
+        assert spectral._corpus.cache_info().currsize == 1
+    assert len(built) == 5
+
+
+def test_every_corpus_call_returns_its_own_writable_copy():
+    spectral._corpus.cache_clear()
+    last = band_limited_corpus(2, 16, 9)
+    want = last.tobytes()
+    for _ in range(3):
+        got = band_limited_corpus(2, 16, 9)
+        assert got.flags.writeable and not np.shares_memory(got, last)
+        assert got.tobytes() == want
+        last[...] = 0.0  # a caller's write reaches no later call
+        last = got
+
+
+@pytest.mark.parametrize("report", [
+    ["alias"],
+    *(["equivariance", "--pipeline", kind] for kind in "ABCD"),
+], ids=["alias", "A", "B", "C", "D"])
+def test_analyze_csv_bytes_equal_on_a_cold_and_a_warm_corpus(tmp_path, report):
+    outputs = []
+    for cache in ("cold", "warm"):
+        if cache == "cold":
+            spectral._corpus.cache_clear()
+        out = tmp_path / f"{cache}.csv"
+        assert main(["analyze", "--report", *report, "--beta", "1", "--normalized",
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# Each pipeline's exact symmetries on the corpus (8 images, 64 x 64, folded into
+# the channel axis), as max abs differences. They hold up to rounding: the tap
+# sums of a transposed image run in another order. Measured gaps are at most
+# 4e-16 (0 for the rolls), so the tolerance is 1e-14.
+SYMMETRY_ATOL = 1e-14
+K3 = FilterSpec(kaiser_beta=1.0, normalized=True)
+K9 = FilterSpec(kaiser_beta=4.0, normalized=True, kernel_size=9)
+
+
+def _corpus_channels():
+    return band_limited_corpus()[:, 0]
+
+
+def _max_gap(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+@pytest.mark.parametrize("config", [
+    PipelineConfig("A"), PipelineConfig("B", K3), PipelineConfig("C", K3),
+    PipelineConfig("D", K3), PipelineConfig("D", K9),
+], ids=["A", "B-1N", "C-1N", "D-1N", "D-4N-9x9"])
+def test_every_pipeline_commutes_with_a_transpose(config):
+    imgs = _corpus_channels()
+    swap = partial(np.swapaxes, axis1=1, axis2=2)
+    assert _max_gap(apply_pipeline(config, swap(imgs)),
+                    swap(apply_pipeline(config, imgs))) <= SYMMETRY_ATOL
+
+
+@pytest.mark.parametrize("turn", [
+    partial(np.flip, axis=1), partial(np.flip, axis=2),
+    partial(np.rot90, k=1, axes=(1, 2)), partial(np.rot90, k=-1, axes=(1, 2)),
+], ids=["row-flip", "column-flip", "quarter-turn", "quarter-turn-back"])
+def test_pipeline_a_commutes_with_flips_and_quarter_turns(turn):
+    # A is built from 2 x 2 block and pointwise operators. B, C and D decimate at
+    # even indices, which a flip maps to odd ones; nothing here asserts that they fail.
+    imgs = _corpus_channels()
+    config = PipelineConfig("A")
+    assert _max_gap(apply_pipeline(config, turn(imgs)),
+                    turn(apply_pipeline(config, imgs))) <= SYMMETRY_ATOL
+
+
+@pytest.mark.parametrize("config, margin", [
+    (PipelineConfig("B", K3), 12), (PipelineConfig("D", K3), 12),
+    (PipelineConfig("B", K9), 12), (PipelineConfig("D", K9), 20),
+], ids=["B-1N", "D-1N", "B-4N-9x9", "D-4N-9x9"])
+@pytest.mark.parametrize("shift, axes", [
+    ((2,), (1,)), ((2,), (2,)), ((2, -2), (1, 2)), ((-4,), (1,)),
+], ids=["rows", "columns", "both", "back-4"])
+def test_alias_free_pipelines_commute_with_an_even_roll_inside_the_border(
+        config, margin, shift, axes):
+    # an even shift keeps the decimation lattice; the wrapped-around rows and the
+    # reflect border stay outside the crop. D's four 9 x 9 filter stages carry the
+    # border further in than B's two, so it gets a 20 px margin.
+    imgs = _corpus_channels()
+    roll = partial(np.roll, shift=shift, axis=axes)
+    crop = (slice(None), slice(margin, -margin), slice(margin, -margin))
+    assert _max_gap(apply_pipeline(config, roll(imgs))[crop],
+                    roll(apply_pipeline(config, imgs))[crop]) <= SYMMETRY_ATOL
