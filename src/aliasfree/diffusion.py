@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .resample import _image_shape
-from .rng import Rng, _whole
+from .rng import Rng, _finite, _whole
 from .rotation import _rotator
 
 SIGMA_MODES = ("beta", "zero")
@@ -50,7 +50,7 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02,
     sets sigma_t = sqrt(beta_t); "zero" makes the sampler deterministic.
     """
     T = _whole(T, "T", 1)
-    if not (0.0 < beta_start <= beta_end < 1.0):
+    if not (0.0 < _finite(beta_start, "beta_start") <= _finite(beta_end, "beta_end") < 1.0):
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
     if sigma_mode not in SIGMA_MODES:
@@ -91,10 +91,9 @@ class GaussianDataSpec:
     shape: tuple
 
     def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (0.0 < self.stddev < math.inf):
-            raise ValueError(f"stddev must be finite and > 0, got {self.stddev}")
+        _finite(self.mean, "mean")
+        if not 0.0 < _finite(self.stddev, "stddev"):
+            raise ValueError(f"stddev must be > 0, got {self.stddev}")
         object.__setattr__(self, "shape", _image_shape(self.shape))
 
     def draw(self, rng: Rng) -> np.ndarray:
@@ -112,9 +111,7 @@ class ConstantDenoiser:
     """Predicts the same value for every element regardless of input."""
 
     def __init__(self, value: float):
-        self.value = float(value)
-        if not math.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value}")
+        self.value = _finite(value, "value")
 
     def predict(self, x_t, t):
         return np.full_like(np.asarray(x_t, dtype=float), self.value)
@@ -194,7 +191,7 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     fill are rejected before any draw or predict call.
     """
     shape = _image_shape(shape)
-    step_angle = float(phi) / sched.T
+    step_angle = _finite(phi, "phi") / sched.T
     turn = _rotator(shape, step_angle, fill)
     x = rng.normal(shape)
     noise = rng._draws(int(np.count_nonzero(sched.sigma[1:])), shape)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _whole
+from .rng import _finite, _whole
 from .special_functions import bessel_i0, jinc
 
 HALF_PI = math.pi / 2.0
@@ -40,10 +40,10 @@ class FilterSpec:
         if size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {size}")
         object.__setattr__(self, "kernel_size", size)
-        if not (0.0 < self.cutoff <= math.pi):
+        if not (0.0 < _finite(self.cutoff, "cutoff") <= math.pi):
             raise ValueError(f"cutoff must lie in (0, pi], got {self.cutoff}")
-        if not (0.0 <= self.kaiser_beta < math.inf):
-            raise ValueError(f"kaiser_beta must be finite and >= 0, got {self.kaiser_beta}")
+        if _finite(self.kaiser_beta, "kaiser_beta") < 0.0:
+            raise ValueError(f"kaiser_beta must be >= 0, got {self.kaiser_beta}")
 
 
 class Kernel2D:
@@ -85,7 +85,7 @@ def kaiser_weight(beta: float, n, length) -> float:
     """Kaiser window sample at offset n for support |n| <= length / 2."""
     if length <= 0:
         raise ValueError(f"window length must be positive, got {length}")
-    if beta < 0:
+    if _finite(beta, "beta") < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     t = 2.0 * n / length
     if abs(t) > 1.0:

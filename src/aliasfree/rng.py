@@ -13,7 +13,8 @@ integer draw this way, in blocks of at most `_NOISE_BLOCK` raw words over
 all streams, and yields them one draw at a time, so the block layout stays
 in this module. `normal` and `randint` take one draw; the samplers and the
 training loss in `diffusion` take many. The stream, the counter and every
-output bit are those of one call per draw.
+output bit are those of one call per draw. The number rules live here too:
+`_finite` for real scalars and `_whole` for counts and sizes; both refuse text.
 """
 
 import itertools
@@ -29,6 +30,7 @@ _TWO53 = float(1 << 53)
 # Most raw words, summed over all streams, that one block of `_draws`
 # fetches; a block holds at least one draw.
 _NOISE_BLOCK = 1 << 14
+_TEXT = (str, bytes, bytearray, memoryview)  # float() reads these; np.str_ subclasses str
 
 
 def _box_muller(top53, shape) -> np.ndarray:
@@ -48,12 +50,23 @@ def _box_muller(top53, shape) -> np.ndarray:
     return out[..., :math.prod(shape)].reshape(top53.shape[:-1] + shape)
 
 
+def _finite(value, name: str, kind: str = "a finite number") -> float:
+    """`value` as a float: the package's one rule for real scalars. A ValueError names
+    `value` if it is text, or a non-finite value, or one float() cannot read or overflows."""
+    number = value[()] if isinstance(value, np.ndarray) else value  # 0-d: its element
+    try:
+        if not isinstance(number, _TEXT) and math.isfinite(number := float(number)):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _whole(value, name: str, least: int | None = None) -> int:
-    """`value` as an int. The package's one rule for counts, sizes and shape
-    sides: a ValueError naming `value` unless it is a whole number (an int,
-    an integral float or a numpy integer) and, when `least` is given, at
-    least `least`."""
-    if not float(value).is_integer():
+    """`value` as an int. The package's one rule for counts, sizes and shape sides:
+    a ValueError naming `value` unless `_finite` reads it as a whole number (an int,
+    an integral float, a numpy integer or a 0-d array of one), at least `least` if given."""
+    if not _finite(value, name, "a whole number").is_integer():
         raise ValueError(f"{name} must be a whole number, got {value}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {int(value)}")

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .resample import _blend, _check_finite, _image_shape, _linear_plan
+from .rng import _finite
 
 FILL_MODES = ("replicate", "zero")
 
@@ -32,9 +33,7 @@ def _rotator(shape, phi, fill: str):
     plan and zero-fill mask once. The returned turn(arr) checks arr's values and
     turns by phi every H x W plane of a stack whose last three axes are `shape`."""
     _, H, W = _image_shape(shape)
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
+    phi = _finite(phi, "phi")
     if fill not in FILL_MODES:
         raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
 

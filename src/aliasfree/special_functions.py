@@ -8,20 +8,15 @@ single all-positive series summed smallest-term-first.
 
 import math
 
+from .rng import _finite
+
 _SERIES_EPS = 1e-18
 _J1_SPLIT = 12.0
 
 
-def _as_finite_float(x) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x!r}")
-    return x
-
-
 def bessel_j1(x) -> float:
     """Bessel function of the first kind, order one."""
-    x = _as_finite_float(x)
+    x = _finite(x, "x")
     ax = abs(x)
     if ax <= _J1_SPLIT:
         # sum_k (-1)^k (x/2)^(2k+1) / (k! (k+1)!), term ratio -x^2 / (4k(k+1))
@@ -60,7 +55,7 @@ def _j1_asymptotic(ax: float) -> float:
 
 def bessel_i0(x) -> float:
     """Modified Bessel function of the first kind, order zero."""
-    x = _as_finite_float(x)
+    x = _finite(x, "x")
     q = x * x / 4.0
     terms = [1.0]
     term = 1.0
@@ -82,7 +77,7 @@ def bessel_i0(x) -> float:
 
 def jinc(x) -> float:
     """J1(x) / x, extended continuously with jinc(0) = 1/2."""
-    x = _as_finite_float(x)
+    x = _finite(x, "x")
     if abs(x) < 1e-4:
         # two leading series terms; avoids the 0/0 at the origin
         return 0.5 - x * x / 16.0

@@ -30,7 +30,7 @@ from .activation import _check_act, apply_pointwise, wrapped_activation
 from .filter_design import HALF_PI, FilterSpec, Kernel2D, design_kernel
 from .resample import (PADDING_MODES, check_image, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
-from .rng import Rng, _whole
+from .rng import Rng, _finite, _whole
 from .rotation import rotate
 
 # kind -> (alias-free resamplers?, wrapped nonlinearity?)
@@ -64,8 +64,7 @@ def freq_response(kernel: Kernel2D, N: int) -> np.ndarray:
     """
     N = _whole(N, "N", kernel.size)
     field = np.zeros((N, N))
-    r = kernel.radius
-    c = N // 2
+    r, c = kernel.radius, N // 2
     # embedding position only shifts phase; magnitudes are unaffected
     field[c - r: c + r + 1, c - r: c + r + 1] = kernel.taps
     return np.abs(dft2(field))
@@ -78,18 +77,15 @@ def alias_energy(img, cutoff: float = HALF_PI) -> float:
     their energy. Returns 0 for an all-zero input.
     """
     arr = np.asarray(img, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    arr = check_image(arr)
+    arr = check_image(arr[None] if arr.ndim == 2 else arr)
     _, H, W = arr.shape
     if H != W:
         raise ValueError(f"expected square images, got {H} x {W}")
-    if not (0.0 < cutoff <= math.pi):
+    if not (0.0 < _finite(cutoff, "cutoff") <= math.pi):
         raise ValueError(f"cutoff must lie in (0, pi], got {cutoff}")
     w = np.abs(spectrum_freqs(H))
     above = np.maximum(w[:, None], w[None, :]) > cutoff
-    total = 0.0
-    high = 0.0
+    total = high = 0.0
     for channel in arr:
         power = np.abs(dft2(channel)) ** 2
         total += float(power.sum())

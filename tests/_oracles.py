@@ -195,6 +195,30 @@ def dft2_loops(img):
     return out
 
 
+def relu_alias_fraction_arccos(size, cutoff=math.pi / 2):
+    """Expected fraction of relu's spectral energy with max(|w1|, |w2|) above
+    `cutoff` over the band-limited corpus, by the degree-1 arc-cosine kernel.
+
+    A corpus image is white noise kept on the DFT bins with |k| < size / 5 on
+    both axes, DC dropped: a stationary Gaussian on the torus with circular
+    correlation rho = ifft2(mask) / ifft2(mask)[0, 0]. Per unit variance,
+    E[relu(a) relu(b)] = (sqrt(1 - rho^2) + (pi - arccos rho) rho) / (2 pi)
+    (Cho and Saul 2009), and its fft2 is relu's expected power spectrum. The
+    per-image rescale is a positive scalar, which relu and a ratio ignore.
+    """
+    k = np.fft.fftfreq(size, d=1.0 / size).astype(int)  # signed bin index
+    keep = 5 * np.abs(k) < size
+    mask = (keep[:, None] & keep[None, :]).astype(float)
+    mask[0, 0] = 0.0
+    corr = np.fft.ifft2(mask).real
+    rho = np.clip(corr / corr[0, 0], -1.0, 1.0)
+    kernel = (np.sqrt(1.0 - rho ** 2) + (np.pi - np.arccos(rho)) * rho) / (2.0 * np.pi)
+    power = np.fft.fft2(kernel).real
+    w = 2.0 * np.pi * np.abs(k) / size
+    above = np.maximum(w[:, None], w[None, :]) > cutoff
+    return float(power[above].sum() / power.sum())
+
+
 def sample_rotated_per_step(denoiser, sched, shape, phi, rng, fill="replicate"):
     """The rotated reverse chain with one rng.normal call per noisy step."""
     step_angle = float(phi) / sched.T

@@ -7,8 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from aliasfree import (FilterSpec, apply_pointwise, design_kernel, gelu,
-                       relu, wrapped_activation)
+from aliasfree import (FilterSpec, PipelineConfig, apply_pointwise, design_kernel, gelu,
+                       pipeline_stages, relu, wrapped_activation)
+from aliasfree import activation
 from aliasfree.activation import _BLOCK, _erf
 from aliasfree.rng import Rng
 
@@ -173,6 +174,21 @@ def test_wrapped_is_the_advertised_composition():
     got = wrapped_activation(img, "relu", K1N)
     want = downsample2x_af(relu(upsample2x_af(img, K1N)), K1N)
     assert np.array_equal(got, want)
+
+
+def test_wrapped_rejects_an_unknown_act_before_upsampling(monkeypatch):
+    upsampled = []
+    monkeypatch.setattr(activation, "upsample2x_af", lambda *args: upsampled.append(args))
+    img = np.zeros((1, 4, 4))
+    messages = set()
+    for call in (lambda: wrapped_activation(img, "tanh", K1N),
+                 lambda: apply_pointwise(img, "tanh"),
+                 lambda: pipeline_stages(PipelineConfig("D", FilterSpec(1.0, True)), "tanh")):
+        with pytest.raises(ValueError) as raised:
+            call()
+        messages.add(str(raised.value))
+    assert messages == {"unknown activation 'tanh', expected one of ('relu', 'gelu')"}
+    assert upsampled == []
 
 
 def test_wrapped_keeps_resolution():

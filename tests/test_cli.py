@@ -1,5 +1,6 @@
 import argparse
 import math
+import os
 import subprocess
 import sys
 
@@ -369,10 +370,11 @@ def test_cli_settable_values():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "k.txt"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # this process's imports
     proc = subprocess.run(
         [sys.executable, "-m", "aliasfree", "kernel", "--beta", "1",
          "--normalized", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert kernel_from_text(out.read_text()) == design_kernel(
         FilterSpec(kaiser_beta=1.0, normalized=True))

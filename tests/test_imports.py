@@ -65,10 +65,12 @@ def test_every_private_helper_is_used(path):
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
 PRIVATE_IMPORTS = {"cli.py": {"_whole", "_image_shape"},
-                   "diffusion.py": {"_whole", "_rotator", "_image_shape"},
-                   "filter_design.py": {"_whole"}, "resample.py": {"_whole"},
-                   "rotation.py": {"_blend", "_check_finite", "_linear_plan", "_image_shape"},
-                   "spectral.py": {"_check_act", "_whole"}}
+                   "diffusion.py": {"_finite", "_whole", "_rotator", "_image_shape"},
+                   "filter_design.py": {"_finite", "_whole"}, "resample.py": {"_whole"},
+                   "rotation.py": {"_blend", "_check_finite", "_finite", "_linear_plan",
+                                   "_image_shape"},
+                   "special_functions.py": {"_finite"},
+                   "spectral.py": {"_check_act", "_finite", "_whole"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -105,6 +107,18 @@ def test_the_whole_number_rule_is_written_once():
     whole = next(node for node in ast.parse(sources["rng.py"]).body
                  if isinstance(node, ast.FunctionDef) and node.name == "_whole")
     assert ".is_integer(" in ast.get_source_segment(sources["rng.py"], whole)
+
+
+def test_the_finite_number_rule_is_written_once():
+    """Real scalar arguments go through rng._finite, the one place outside the
+    CLI's text parsers that asks whether a scalar is finite; no module keeps
+    a finite-float helper of its own."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "cli.py"}
+    assert sum(text.count("math.isfinite(") for text in sources.values()) == 1
+    finite = next(node for node in ast.parse(sources["rng.py"]).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_finite")
+    assert "math.isfinite(" in ast.get_source_segment(sources["rng.py"], finite)
+    assert not any("_as_finite_float" in text for text in sources.values())
 
 
 def test_the_tap_sum_is_written_once():

@@ -1,8 +1,13 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+from aliasfree import (ConstantDenoiser, FilterSpec, GaussianDataSpec, ZeroDenoiser,
+                       band_limited_corpus, design_kernel, jinc, linear_schedule, rotate,
+                       sample_rotated, training_loss)
 from aliasfree import rng as rng_module
 from aliasfree.rng import Rng
 
@@ -209,3 +214,63 @@ def test_draws_yield_one_tuple_per_draw_equal_to_one_call_per_draw(bound, seed, 
                 assert type(value) is int and value == want_rng.randint(part)
     assert got_rng._count == want_rng._count
     assert list(Rng(seed)._draws(0, *parts)) == []
+
+
+_IMAGE = np.arange(48.0).reshape(3, 4, 4) / 47.0
+
+
+def _rotated_chain(phi, rng):
+    return sample_rotated(ZeroDenoiser(), linear_schedule(3), (1, 4, 4), phi, rng)
+
+
+def _gaussian_loss(n_draws, rng):
+    data = GaussianDataSpec(0.0, 1.0, (1, 2, 2))
+    return training_loss(ZeroDenoiser(), data, linear_schedule(4), n_draws, rng)
+
+
+# Each number argument: the name its message starts with, a call of
+# (value, rng), a value it refuses (text, or past the largest double), a
+# whole value it accepts, and the sha256 prefix of that call's bytes.
+_NUMBER_ARGUMENTS = {
+    'Rng("7")': ("seed", lambda v, rng: Rng(v).normal(3), "7", 7, "549b845474dbc638"),
+    'Rng(b"7")': ("seed", lambda v, rng: Rng(v).normal(3), b"7", 7, "549b845474dbc638"),
+    "Rng(2**1100)": ("seed", lambda v, rng: Rng(v).normal(3), 2**1100, 7, "549b845474dbc638"),
+    'normal("8")': ("shape side", lambda v, rng: rng.normal(v), "8", 8, "a6af72bee22323f5"),
+    'randint("3")': ("high", lambda v, rng: rng.randint(v), "3", 3, "161f4c0b1a18a050"),
+    'corpus("2", 16)': ("count", lambda v, rng: band_limited_corpus(v, 16),
+                        "2", 2, "6eb1e162a2903702"),
+    'corpus(2, 16, "1")': ("seed", lambda v, rng: band_limited_corpus(2, 16, v),
+                           "1", 1, "0b7d347e5a6cd6a3"),
+    'linear_schedule("5")': ("T", lambda v, rng: linear_schedule(v).alpha_bar,
+                             "5", 5, "3d54fe8a364e4e04"),
+    'training_loss("3")': ("n_draws", _gaussian_loss, "3", 3, "fa06a3c48330a2c0"),
+    'jinc("0.5")': ("x", lambda v, rng: jinc(v), "0.5", 2, "0a169ff4961d27f5"),
+    'ConstantDenoiser(b"1")': ("value", lambda v, rng: ConstantDenoiser(v).predict(np.zeros(3), 1),
+                               b"1", 1, "cc143326a2646c60"),
+    'GaussianDataSpec("1")': ("mean", lambda v, rng: GaussianDataSpec(v, 1.0, (1, 2, 2)).draw(rng),
+                              "1", 1, "6a7df9fa1818c719"),
+    'FilterSpec("1")': ("kaiser_beta", lambda v, rng: design_kernel(FilterSpec(v, True)).taps,
+                        "1", 1, "1be83844a9f556fc"),
+    'rotate("0.3")': ("phi", lambda v, rng: rotate(_IMAGE, v), "0.3", 1, "5ad59ef46af032f6"),
+    "rotate(10**400)": ("phi", lambda v, rng: rotate(_IMAGE, v), 10**400, 1, "5ad59ef46af032f6"),
+    'sample_rotated("0.1")': ("phi", _rotated_chain, "0.1", 1, "5541fd92ffb7e0fc"),
+}
+
+
+def _digest(out) -> str:
+    return hashlib.sha256(np.asarray(out, dtype=float).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, call, bad, good, pin", _NUMBER_ARGUMENTS.values(),
+                         ids=_NUMBER_ARGUMENTS)
+def test_number_arguments_refuse_text_and_overflow_and_keep_their_bytes(name, call, bad,
+                                                                        good, pin):
+    """Text and values past the largest double raise a ValueError that names the
+    argument before any draw; an int, an integral float, numpy scalars and a
+    0-d array of the accepted value all give the pinned bytes."""
+    rng = Rng(0)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(bad, rng)
+    assert rng._count == 0
+    for form in (good, float(good), np.int64(good), np.float64(good), np.array(good)):
+        assert _digest(call(form, Rng(0))) == pin, form

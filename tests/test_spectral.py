@@ -16,7 +16,7 @@ from aliasfree import spectral
 from aliasfree.cli import main
 from aliasfree.rng import Rng
 
-from _oracles import dft2_loops
+from _oracles import dft2_loops, relu_alias_fraction_arccos
 
 HALF_PI = math.pi / 2.0
 
@@ -146,6 +146,17 @@ def test_corpus_is_deterministic_and_band_limited():
         # content stays strictly below 80 percent of the cutoff
         assert alias_energy(img, 0.8 * HALF_PI - 1e-9) <= 1e-24
         assert abs(img.sum()) <= 1e-9  # DC removed
+
+
+def test_relu_alias_mean_over_the_corpus_matches_the_arc_cosine_prediction():
+    # the corpus is a stationary Gaussian, so relu's expected spectrum is known in
+    # closed form; the measured mean may sit within 4 standard errors of it
+    fractions = [alias_energy(apply_pointwise(img, "relu"))
+                 for img in band_limited_corpus(64, 64)]
+    standard_error = np.std(fractions, ddof=1) / math.sqrt(len(fractions))
+    predicted = relu_alias_fraction_arccos(64)
+    assert abs(np.mean(fractions) - predicted) <= 4.0 * standard_error, (
+        np.mean(fractions), predicted, standard_error)
 
 
 def test_corpus_images_differ():
