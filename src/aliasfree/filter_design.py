@@ -83,11 +83,11 @@ def jinc_tap(spec: FilterSpec, n1: int, n2: int) -> float:
 
 def kaiser_weight(beta: float, n, length) -> float:
     """Kaiser window sample at offset n for support |n| <= length / 2."""
-    if length <= 0:
+    if _finite(length, "length") <= 0:
         raise ValueError(f"window length must be positive, got {length}")
     if _finite(beta, "beta") < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    t = 2.0 * n / length
+    t = 2.0 * _finite(n, "n") / length
     if abs(t) > 1.0:
         return 0.0
     return bessel_i0(beta * math.sqrt(1.0 - t * t)) / bessel_i0(beta)

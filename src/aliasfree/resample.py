@@ -4,7 +4,8 @@ The alias-free pair places a low-pass filter around each rate change:
 downsampling filters first and then keeps the even-index samples, while
 upsampling interleaves zeros (originals land on even indices), filters,
 and multiplies by 4 to restore the signal level. The naive pair, kept as
-a baseline, is 2x2 max pooling and align-corners bilinear interpolation.
+a baseline, is 2x2 max pooling (a running maximum over each block in
+row-major order) and align-corners bilinear interpolation.
 
 Convolution is direct:
 
@@ -34,9 +35,10 @@ PADDING_MODES = ("reflect", "zero")
 def _image_shape(shape) -> tuple:
     """The one image-shape rule, for every array, sampler shape, turn and --shape:
     three sides C x H x W, each a whole number >= 1, as a tuple of ints."""
-    if len(shape) != 3 or min(shape) < 1:
+    sides = tuple(_whole(side, "shape side") for side in shape)
+    if len(sides) != 3 or min(sides) < 1:
         raise ValueError(f"expected a C x H x W shape with no empty axis, got {tuple(shape)}")
-    return tuple(_whole(side, "shape side") for side in shape)
+    return sides
 
 
 def _check_finite(arr: np.ndarray) -> np.ndarray:
@@ -113,10 +115,12 @@ def upsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray
 
 
 def downsample2x_naive(img) -> np.ndarray:
-    """2x2 max pooling over disjoint blocks."""
+    """2x2 max pooling: each block's running maximum in row-major order. np.maximum
+    keeps its later operand on a tie, so a +0/-0 tie keeps the sign numpy's reduce gives."""
     arr = _require_even(check_image(img))
-    C, H, W = arr.shape
-    return arr.reshape(C, H // 2, 2, W // 2, 2).max(axis=(2, 4))
+    out = np.maximum(arr[:, 0::2, 0::2], arr[:, 0::2, 1::2])
+    np.maximum(out, arr[:, 1::2, 0::2], out=out)
+    return np.maximum(out, arr[:, 1::2, 1::2], out=out)
 
 
 def _linear_plan(src, n: int):

@@ -31,7 +31,7 @@ from .filter_design import HALF_PI, FilterSpec, Kernel2D, design_kernel
 from .resample import (PADDING_MODES, check_image, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
 from .rng import Rng, _finite, _whole
-from .rotation import rotate
+from .rotation import _rotator
 
 # kind -> (alias-free resamplers?, wrapped nonlinearity?)
 _KINDS = {"A": (False, False), "B": (True, False), "C": (False, True), "D": (True, True)}
@@ -215,8 +215,9 @@ def equivariance_error(config: PipelineConfig, img, phi: float) -> float | list[
                          f"got shape {arr.shape}")
     batch = arr if arr.ndim == 4 else arr[None]
     x = batch.reshape((-1,) + batch.shape[2:])
-    first = apply_pipeline(config, rotate(x, phi, fill="zero")).reshape(batch.shape)
-    last = rotate(apply_pipeline(config, x), phi, fill="zero").reshape(batch.shape)
+    turn = _rotator(x.shape, phi, "zero")  # one plan for both turns, the bytes of rotate
+    first = apply_pipeline(config, turn(x)).reshape(batch.shape)
+    last = turn(apply_pipeline(config, x)).reshape(batch.shape)
     pairs = [(np.linalg.norm(a - b), np.linalg.norm(b)) for a, b in zip(first, last)]
     errors = [float(gap / denom if denom != 0.0 else gap) for gap, denom in pairs]
     return errors if arr.ndim == 4 else errors[0]

@@ -93,6 +93,12 @@ def downsample_af_loops(img, taps, padding):
     return conv2d_loops(img, taps, padding)[:, ::2, ::2]
 
 
+def max_pool_reshape(img):
+    """2x2 max pooling as one numpy reduction over each block's two axes."""
+    C, H, W = img.shape
+    return img.reshape(C, H // 2, 2, W // 2, 2).max(axis=(2, 4))
+
+
 def upsample_af_loops(img, taps, padding):
     img = np.asarray(img, dtype=float)
     C, H, W = img.shape

@@ -70,7 +70,7 @@ PRIVATE_IMPORTS = {"cli.py": {"_whole", "_image_shape"},
                    "rotation.py": {"_blend", "_check_finite", "_finite", "_linear_plan",
                                    "_image_shape"},
                    "special_functions.py": {"_finite"},
-                   "spectral.py": {"_check_act", "_finite", "_whole"}}
+                   "spectral.py": {"_check_act", "_finite", "_rotator", "_whole"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

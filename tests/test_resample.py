@@ -9,7 +9,7 @@ from aliasfree import (FilterSpec, Kernel2D, convolve2d, design_kernel,
 from aliasfree.rng import Rng
 
 from _oracles import (bilinear_gather_2d, bilinear_upsample_loops, conv2d_loops,
-                      downsample_af_loops, upsample_af_loops)
+                      downsample_af_loops, max_pool_reshape, upsample_af_loops)
 
 K1N = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
 K0U = design_kernel(FilterSpec(kaiser_beta=0.0, normalized=False))
@@ -166,6 +166,24 @@ def test_max_pool_matches_loops():
             for j in range(2):
                 block = img[c, 2 * i: 2 * i + 2, 2 * j: 2 * j + 2]
                 assert out[c, i, j] == block.max()
+
+
+def signed_zero_img(seed, shape):
+    """Normals with about a third of the entries set to +0 or -0 at random."""
+    img = rand_img(seed, shape)
+    pick = np.random.default_rng(seed).random(shape)
+    img[pick < 1 / 3] = 0.0
+    img[pick < 1 / 6] = -0.0
+    return img
+
+
+@pytest.mark.parametrize("shape", ((1, 2, 2), (3, 6, 4), (2, 64, 8), (1, 256, 256)))
+def test_max_pool_equals_the_reshape_reduction_bitwise(shape):
+    img = signed_zero_img(sum(shape), shape)
+    got, want = downsample2x_naive(img), max_pool_reshape(img)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_bilinear_matches_loops():

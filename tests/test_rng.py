@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from aliasfree import (ConstantDenoiser, FilterSpec, GaussianDataSpec, ZeroDenoiser,
-                       band_limited_corpus, design_kernel, jinc, linear_schedule, rotate,
-                       sample_rotated, training_loss)
+                       band_limited_corpus, design_kernel, jinc, kaiser_weight,
+                       linear_schedule, rotate, sample_rotated, training_loss)
 from aliasfree import rng as rng_module
 from aliasfree.rng import Rng
 
@@ -254,6 +254,10 @@ _NUMBER_ARGUMENTS = {
     'rotate("0.3")': ("phi", lambda v, rng: rotate(_IMAGE, v), "0.3", 1, "5ad59ef46af032f6"),
     "rotate(10**400)": ("phi", lambda v, rng: rotate(_IMAGE, v), 10**400, 1, "5ad59ef46af032f6"),
     'sample_rotated("0.1")': ("phi", _rotated_chain, "0.1", 1, "5541fd92ffb7e0fc"),
+    'kaiser_weight(1.0, 0, "2")': ("length", lambda v, rng: kaiser_weight(1.0, 0, v),
+                                   "2", 2, "6c3c396ed6b5c36d"),
+    'kaiser_weight(1.0, "0", 2.0)': ("n", lambda v, rng: kaiser_weight(1.0, v, 2.0),
+                                     "0", 1, "070a554a1efb7a53"),
 }
 
 

@@ -15,6 +15,7 @@ from aliasfree import (FilterSpec, PipelineConfig, alias_energy,
 from aliasfree import spectral
 from aliasfree.cli import main
 from aliasfree.rng import Rng
+from aliasfree.rotation import _rotator
 
 from _oracles import dft2_loops, relu_alias_fraction_arccos
 
@@ -388,6 +389,34 @@ def test_equivariance_error_batch_matches_per_image_calls():
                 errors = equivariance_error(config, batch, phi)
                 assert errors == [equivariance_error(config, img, phi) for img in batch]
                 assert all(type(e) is float for e in errors)
+
+
+def _two_rotate_error(config, img, phi):
+    """equivariance_error of one C x H x W image, by one rotate call per turn."""
+    first = apply_pipeline(config, rotate(img, phi, fill="zero"))
+    last = rotate(apply_pipeline(config, img), phi, fill="zero")
+    gap, denom = np.linalg.norm(first - last), np.linalg.norm(last)
+    return float(gap / denom if denom != 0.0 else gap)
+
+
+@pytest.mark.parametrize("kind", "ABCD")
+def test_equivariance_error_builds_one_rotation_plan_with_the_bytes_of_rotate(
+        monkeypatch, kind):
+    config = PipelineConfig(kind, None if kind == "A" else FilterSpec(1.0, True))
+    plans = []
+
+    def counted(*args):
+        plans.append(args)
+        return _rotator(*args)
+
+    monkeypatch.setattr(spectral, "_rotator", counted)
+    rgb = 0.4 * np.asarray(Rng(4).normal((3, 16, 16)))
+    batch = band_limited_corpus(3, 16)
+    for arr, want in ((rgb, _two_rotate_error(config, rgb, math.pi / 7)),
+                      (batch, [_two_rotate_error(config, img, math.pi / 7) for img in batch])):
+        plans.clear()
+        assert equivariance_error(config, arr, math.pi / 7) == want
+        assert len(plans) == 1
 
 
 def test_equivariance_error_validation():
