@@ -14,6 +14,10 @@ and 1 when a command rejects a value or an input while running (--T 0, a
 A filter design_kernel rejects (--beta 800) exits 1 before any input is read.
 main builds its parser once per process; band_limited_corpus keeps its most
 recent corpus, read-only and one at a time, and hands each analyze a copy.
+resample, activate and rotate run their operator on one channel plane of
+the input at a time and encode each output plane before making the next, so
+a P6 command holds one float output plane, not three; every operator treats
+each channel alone, so the bytes are those of the whole-image call.
 
 Examples:
 
@@ -44,10 +48,10 @@ from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                         GaussianDataSpec, ZeroDenoiser, linear_schedule,
                         sample_rotated, SIGMA_MODES)
 from .filter_design import HALF_PI, FilterSpec, design_kernel, kernel_to_text
-from .image_io import raster_format, read_raster, write_raster
+from .image_io import _encode_planes, raster_format, read_raster, write_raster
 from .resample import PADDING_MODES, _image_shape
 from .rng import Rng, _whole
-from .rotation import FILL_MODES, rotate
+from .rotation import FILL_MODES, _rotator
 from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
                        band_limited_corpus, config_name, equivariance_error,
                        freq_response, pipeline_stages)
@@ -151,21 +155,29 @@ def cmd_freq(args) -> dict:
     return {args.out: _csv([("k1", "k2", "magnitude"), *rows])}
 
 
+def _planewise(op, img) -> bytes:
+    """The raster of op(img), with op run on one 1 x H x W channel plane at a time
+    and each output plane encoded before the next is made: every raster operator
+    treats each channel alone, so the bytes are those of write_raster(op(img))."""
+    return _encode_planes(map(op, img[:, None]), len(img))
+
+
 def cmd_resample(args) -> dict:
     config = PipelineConfig("B", _filter_spec(args)) if args.mode == "af" else PipelineConfig("A")
     down, _, up = pipeline_stages(config, padding=args.padding)
-    return {args.out: write_raster((down if args.dir == "down" else up)(_read_image(args.input)))}
+    return {args.out: _planewise(down if args.dir == "down" else up, _read_image(args.input))}
 
 
 def cmd_activate(args) -> dict:
     config = PipelineConfig("C", _filter_spec(args)) if args.wrapped else PipelineConfig("A")
     _, act, _ = pipeline_stages(config, args.act, args.padding)
-    return {args.out: write_raster(act(_read_image(args.input)))}
+    return {args.out: _planewise(act, _read_image(args.input))}
 
 
 def cmd_rotate(args) -> dict:
     img = _read_image(args.input)
-    return {args.out: write_raster(rotate(img, args.phi, args.fill))}
+    # one gather plan for every plane: it depends only on the shape, phi and fill
+    return {args.out: _planewise(_rotator(img.shape, args.phi, args.fill), img)}
 
 
 def cmd_sample(args) -> dict:

@@ -5,7 +5,9 @@ v / 127.5 - 1, so 0 -> -1.0, 255 -> +1.0, and 128 -> exactly 0 on the
 way back in. Encoding clamps to [-1, 1] and rounds half up, so a float
 0.0 lands on byte 128. Tensors are C x H x W with C = 1 for P5 and
 C = 3 for P6; P6 payloads interleave RGB per pixel. Each direction works
-in place in the one float buffer it makes, never in the caller's array.
+in place in the one float buffer it makes, never in the caller's array;
+encoding takes the image one channel plane at a time, so that buffer is
+one plane.
 """
 
 import numpy as np
@@ -105,12 +107,24 @@ def raster_format(channels) -> tuple:
     return _FORMATS[channels]
 
 
+def _byte_plane(plane) -> np.ndarray:
+    """A 1 x H x W float plane, checked as an image and quantized, as H x W bytes."""
+    return _quantized(check_image(plane))[0].astype(np.uint8)
+
+
+def _encode_planes(planes, channels: int) -> bytes:
+    """Encode a `channels`-channel raster from its planes, each a 1 x H x W float
+    tensor taken in turn from the iterable `planes`, into the interleaved payload.
+    map drops each float plane once it is quantized, before asking for the next
+    (a for loop's target would still hold it), so one float plane is alive at a time."""
+    magic, _ = raster_format(channels)
+    payload = np.stack(list(map(_byte_plane, planes)), axis=2)
+    H, W, _ = payload.shape
+    return f"{magic}\n{W} {H}\n255\n".encode("ascii") + payload.data
+
+
 def write_raster(img) -> bytes:
     """Encode a float tensor in the format `raster_format` picks from its
-    channel count."""
+    channel count, one channel plane at a time."""
     arr = check_image(img)
-    C, H, W = arr.shape
-    magic, _ = raster_format(C)
-    payload = np.empty((H, W, C), np.uint8)
-    payload[...] = np.moveaxis(_quantized(arr), 0, 2)
-    return f"{magic}\n{W} {H}\n255\n".encode("ascii") + payload.data
+    return _encode_planes(arr[:, None], len(arr))

@@ -11,7 +11,7 @@ from aliasfree import (FilterSpec, PipelineConfig, alias_energy, apply_pointwise
                        band_limited_corpus, design_kernel, downsample2x_af,
                        downsample2x_naive, equivariance_error, freq_response,
                        kernel_from_text, linear_schedule, read_raster,
-                       sample_classical, upsample2x_af, upsample2x_naive,
+                       rotate, sample_classical, upsample2x_af, upsample2x_naive,
                        wrapped_activation, write_raster)
 from aliasfree import cli
 from aliasfree.cli import (build_parser, main, parse_angle, parse_denoiser_spec,
@@ -19,6 +19,7 @@ from aliasfree.cli import (build_parser, main, parse_angle, parse_denoiser_spec,
 from aliasfree.diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                                  GaussianDataSpec)
 from aliasfree.rng import Rng
+from aliasfree.rotation import _rotator
 
 
 def run(*argv):
@@ -228,12 +229,9 @@ def test_resample_bytes_equal_the_library_call(tmp_path, mode, direction, want, 
     assert out.read_bytes() == write_raster(want(img, padding))
 
 
-@pytest.mark.parametrize("padding", ["reflect", "zero"])
-@pytest.mark.parametrize("act", ["relu", "gelu"])
-@pytest.mark.parametrize("wrapped", [False, True])
-def test_activate_bytes_equal_the_library_call(tmp_path, wrapped, act, padding):
-    src = make_input(tmp_path, shape=(1, 12, 12))
-    out = tmp_path / "out.pgm"
+def assert_activate_bytes_equal_the_library_call(tmp_path, shape, wrapped, act, padding):
+    src = make_input(tmp_path, shape=shape)
+    out = tmp_path / "out.img"
     flags = ["--wrapped"] if wrapped else []
     assert run("activate", "--in", str(src), "--act", act, *flags, "--beta", "1",
                "--normalized", "--size", "5", "--padding", padding, "--out", str(out)) == 0
@@ -241,6 +239,63 @@ def test_activate_bytes_equal_the_library_call(tmp_path, wrapped, act, padding):
     got = (wrapped_activation(img, act, design_kernel(K5), padding) if wrapped
            else apply_pointwise(img, act))
     assert out.read_bytes() == write_raster(got)
+
+
+@pytest.mark.parametrize("padding", ["reflect", "zero"])
+@pytest.mark.parametrize("act", ["relu", "gelu"])
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_activate_bytes_equal_the_library_call(tmp_path, wrapped, act, padding):
+    assert_activate_bytes_equal_the_library_call(tmp_path, (1, 12, 12), wrapped, act, padding)
+
+
+# the raster commands run one channel plane at a time; a P6 file, square or
+# of odd sides, must still give the bytes of the whole-image call
+@pytest.mark.parametrize("shape", [(3, 12, 12), (3, 7, 9)], ids=("3x12x12", "3x7x9"))
+@pytest.mark.parametrize("padding", ["reflect", "zero"])
+@pytest.mark.parametrize("act", ["relu", "gelu"])
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_activate_ppm_bytes_equal_the_library_call(tmp_path, wrapped, act, padding, shape):
+    assert_activate_bytes_equal_the_library_call(tmp_path, shape, wrapped, act, padding)
+
+
+@pytest.mark.parametrize("text, phi", [("0.448798950512827", 0.448798950512827),
+                                       ("half-pi", math.pi / 2)], ids=("pi-7", "half-pi"))
+@pytest.mark.parametrize("fill", ["replicate", "zero"])
+@pytest.mark.parametrize("shape", [(1, 12, 12), (3, 12, 12), (3, 7, 9)],
+                         ids=("1x12x12", "3x12x12", "3x7x9"))
+def test_rotate_bytes_equal_the_library_call(tmp_path, shape, fill, text, phi):
+    src = make_input(tmp_path, shape=shape)
+    out = tmp_path / "out.img"
+    assert run("rotate", "--in", str(src), "--phi", text, "--fill", fill,
+               "--out", str(out)) == 0
+    assert out.read_bytes() == write_raster(rotate(read_raster(src.read_bytes()), phi, fill))
+
+
+def test_rotate_builds_one_plan_for_every_plane(tmp_path, monkeypatch):
+    plans = []
+
+    def counted(*args):
+        plans.append(args)
+        return _rotator(*args)
+    monkeypatch.setattr(cli, "_rotator", counted)
+    src = make_input(tmp_path, shape=(3, 8, 8))
+    assert run("rotate", "--in", str(src), "--phi", "0.3", "--out", str(tmp_path / "out.ppm")) == 0
+    assert plans == [((3, 8, 8), 0.3, "replicate")]
+
+
+@pytest.mark.parametrize("shape, argv, message", [
+    ((3, 15, 15), ["--dir", "down"], "height and width must be even, got 15 x 15"),
+    ((3, 2, 2), ["--dir", "up", "--size", "11"],
+     "kernel size 11 exceeds reflect-padding limit 9 for upsampling a 2 x 2 image"),
+], ids=("odd-down", "reflect-limit-up"))
+def test_a_rejected_ppm_resample_names_its_fault_and_writes_no_file(
+        tmp_path, capsys, shape, argv, message):
+    src = make_input(tmp_path, shape=shape)
+    out = tmp_path / "out.ppm"
+    assert run("resample", "--in", str(src), "--mode", "af", *argv, "--beta", "1",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"aliasfree: error: {message}\n"
+    assert not out.exists()
 
 
 def test_analyze_alias_csv_matches_the_hand_built_chains(tmp_path):

@@ -60,8 +60,14 @@ def test_format_inference_and_mismatch():
     rgb = np.zeros((3, 2, 2))
     assert write_raster(gray)[:2] == b"P5"
     assert write_raster(rgb)[:2] == b"P6"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs 1 or 3 channels, got 2"):
         write_raster(np.zeros((2, 2, 2)))
+    # the whole image is checked before the channel count and the planes
+    for shape in ((2, 2, 2), (3, 2, 2)):
+        bad = np.zeros(shape)
+        bad[-1, -1, -1] = np.nan
+        with pytest.raises(ValueError, match="image values must be finite"):
+            write_raster(bad)
 
 
 def test_raster_format_gives_magic_and_extension():

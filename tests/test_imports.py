@@ -64,7 +64,7 @@ def test_every_private_helper_is_used(path):
 
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
-PRIVATE_IMPORTS = {"cli.py": {"_whole", "_image_shape"},
+PRIVATE_IMPORTS = {"cli.py": {"_encode_planes", "_image_shape", "_rotator", "_whole"},
                    "diffusion.py": {"_finite", "_whole", "_rotator", "_image_shape"},
                    "filter_design.py": {"_finite", "_whole"}, "resample.py": {"_whole"},
                    "rotation.py": {"_blend", "_check_finite", "_finite", "_linear_plan",
