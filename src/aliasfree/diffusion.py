@@ -19,7 +19,6 @@ Gaussian data the exact posterior-mean noise predictor has a closed
 form, which lets the whole chain be exercised without any training.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +76,12 @@ def forward_noise(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if x0.shape != eps.shape:
         raise ValueError(f"x0 shape {x0.shape} does not match eps shape {eps.shape}")
-    t = _check_step(sched, t)
-    ab = sched.alpha_bar[t - 1]
-    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
+    return _noised(sched.alpha_bar[_check_step(sched, t) - 1], x0, eps)
+
+
+def _noised(ab, x0, eps):
+    """The closed form, elementwise: ab is one alpha_bar, or one per leading row."""
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
 @dataclass(frozen=True)
@@ -133,17 +135,19 @@ class AnalyticGaussianDenoiser:
     def __init__(self, data: GaussianDataSpec, sched: NoiseSchedule):
         self.data = data
         self.sched = sched
+        # per-step tables [t - 1]; elementwise, so each entry has the bits of its scalar formula
+        ab = sched.alpha_bar
+        self._slope = (np.sqrt(1.0 - ab) / (ab * data.stddev ** 2 + 1.0 - ab)).tolist()
+        self._shift = (np.sqrt(ab) * data.mean).tolist()
 
     def coefficient(self, t: int) -> float:
         """Slope of the prediction in (x_t - sqrt(ab_t) * mean)."""
-        t = _check_step(self.sched, t)
-        ab = self.sched.alpha_bar[t - 1]
-        return math.sqrt(1.0 - ab) / (ab * self.data.stddev ** 2 + 1.0 - ab)
+        return self._slope[_check_step(self.sched, t) - 1]
 
     def predict(self, x_t, t):
         x_t = np.asarray(x_t, dtype=float)
-        slope = self.coefficient(t)  # validates t before the lookup below
-        return slope * (x_t - math.sqrt(self.sched.alpha_bar[int(t) - 1]) * self.data.mean)
+        i = _check_step(self.sched, t) - 1
+        return self._slope[i] * (x_t - self._shift[i])
 
 
 def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
@@ -153,17 +157,26 @@ def training_loss(denoiser, data: GaussianDataSpec, sched: NoiseSchedule,
     Each draw samples x0 from the data distribution, a step t uniform on
     1..T, and a fresh eps, then scores ||eps - predict(x_t, t)||^2. The
     per-draw order is x0 elements, then t, then eps elements, so a fixed
-    seed pins the entire sequence. The draws come one at a time from
-    `Rng._draws`; the stream, the counter and the loss are those of
-    data.draw, randint and normal called once per draw, and predict runs
-    once per draw, in order. The rng must have a single stream.
+    seed pins the entire sequence. The draws come in runs from `Rng._runs`:
+    x0 and x_t are formed for a whole run at once, predict runs once per
+    draw, in order, on that draw's x_t with its int t, and each draw's
+    squared error is added to the total in draw order. The stream, the
+    counter and the loss are those of data.draw, randint and normal called
+    once per draw. predict may return anything that broadcasts to
+    data.shape. The rng must have a single stream.
     """
     n_draws = _whole(n_draws, "n_draws", 1)
     total = 0.0
-    for z, t, eps in rng._draws(n_draws, data.shape, sched.T, data.shape):
-        x_t = forward_noise(data.mean + data.stddev * z, t, eps, sched)
-        err = eps - denoiser.predict(x_t, t)
-        total += float(np.sum(err * err))
+    for z, ts, eps in rng._runs(n_draws, data.shape, sched.T, data.shape):
+        ab = sched.alpha_bar[np.subtract(ts, 1)].reshape(-1, 1, 1, 1)
+        x_t = _noised(ab, data.mean + data.stddev * z, eps)
+        predicted = np.empty_like(eps)
+        for j, t in enumerate(ts):
+            predicted[j] = denoiser.predict(x_t[j], t)  # assignment broadcasts each return
+        err = eps - predicted
+        err *= err
+        for term in err.reshape(len(ts), -1).sum(axis=1).tolist():
+            total += term  # one at a time, left to right: sum() compensates on Python 3.12+
     return total / n_draws
 
 
@@ -181,7 +194,10 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     order: the initial x_T, then one fresh noise image per step with
     t > 1 (whenever sigma_t is nonzero). The step noise comes one draw
     per noisy step from `Rng._draws`; the stream, the counter and the
-    output are those of one normal(shape) call per step. A
+    output are those of one normal(shape) call per step. The step
+    scalars (1 - alpha_t) / sqrt(1 - alpha_bar_t), sqrt(alpha_t) and
+    sigma_t are computed once per chain, elementwise, in the bits of the
+    per-step formulas, and the noise is added in place. A
     multi-stream rng runs one trajectory per stream and returns shape
     (N,) + shape; the denoiser then predicts on that whole batch.
 
@@ -193,15 +209,17 @@ def sample_rotated(denoiser, sched: NoiseSchedule, shape, phi: float, rng: Rng,
     shape = _image_shape(shape)
     step_angle = _finite(phi, "phi") / sched.T
     turn = _rotator(shape, step_angle, fill)
+    coef = ((1.0 - sched.alpha) / np.sqrt(1.0 - sched.alpha_bar)).tolist()
+    root_alpha = np.sqrt(sched.alpha).tolist()
+    sigma = sched.sigma.tolist()
     x = rng.normal(shape)
     noise = rng._draws(int(np.count_nonzero(sched.sigma[1:])), shape)
     for t in range(sched.T, 0, -1):
         i = t - 1
         eps_hat = denoiser.predict(x, t)
-        x = (x - (1.0 - sched.alpha[i]) / math.sqrt(1.0 - sched.alpha_bar[i]) * eps_hat) \
-            / math.sqrt(sched.alpha[i])
-        if t > 1 and sched.sigma[i] != 0.0:
-            x = x + sched.sigma[i] * next(noise)[0]
+        x = (x - coef[i] * eps_hat) / root_alpha[i]
+        if t > 1 and sigma[i] != 0.0:
+            x += sigma[i] * next(noise)[0]
         if step_angle != 0.0:
             x = turn(x)
     return x

@@ -8,11 +8,12 @@ element order, with the trailing spare discarded when an odd number of
 elements is requested.
 
 Since a pair never spans two draws, any run of draws can come from one
-`_raw` call and be split by draw. `_draws` fetches every normal and
+`_raw` call and be split by draw. `_runs` fetches every normal and
 integer draw this way, in blocks of at most `_NOISE_BLOCK` raw words over
-all streams, and yields them one draw at a time, so the block layout stays
-in this module. `normal` and `randint` take one draw; the samplers and the
-training loss in `diffusion` take many. The stream, the counter and every
+all streams, and yields one run of draws per block; `_draws` is its view
+one draw at a time. So the block layout stays in this module. `normal`
+and `randint` take one draw, the samplers one per noisy step, and the
+training loss in `diffusion` whole runs. The stream, the counter and every
 output bit are those of one call per draw. The number rules live here too:
 `_finite` for real scalars and `_whole` for counts and sizes; both refuse text.
 """
@@ -133,12 +134,13 @@ class Rng:
         """Standard normal draws via Box-Muller (see `_box_muller`)."""
         return next(self._draws(1, _shape(shape)))[0]
 
-    def _draws(self, count: int, *parts):
-        """Yield `count` draws, each a tuple of one value per part. A tuple part is a
-        shape of normals, an array of shape streams + shape; an int part `high` is
-        a step as `randint` draws it, a Python int, and needs a single-stream Rng.
-        Words are fetched in blocks of at least one draw and at most _NOISE_BLOCK
-        raw words over all streams."""
+    def _runs(self, count: int, *parts):
+        """Yield `count` draws in runs, one run per block of raw words: each a tuple
+        of one value per part, holding the run's k draws on a leading axis. A tuple
+        part is a shape of normals, an array of shape (k,) + streams + shape; an int
+        part `high` gives k steps as `randint` draws them, a list of Python ints, and
+        needs a single-stream Rng. A run holds at least one draw and at most
+        _NOISE_BLOCK raw words over all streams."""
         if self._streams and not all(isinstance(p, tuple) for p in parts):
             raise ValueError("an integer draw is one number; it needs a single-stream Rng")
         words = [math.prod(p) + math.prod(p) % 2 if isinstance(p, tuple) else 1 for p in parts]
@@ -146,7 +148,13 @@ class Rng:
         per_block = max(1, _NOISE_BLOCK // (bounds[-1] * math.prod(self._streams)))
         for done in range(0, count, per_block):
             top53 = np.moveaxis(self._top53(min(per_block, count - done), bounds[-1]), -2, 0)
-            yield from zip(*(
+            yield tuple(
                 _box_muller(top53[..., a:b], p) if isinstance(p, tuple) else
                 (1 + np.minimum(top53[..., a] / _TWO53 * p, p - 1).astype(np.int64)).tolist()
-                for p, a, b in zip(parts, bounds, bounds[1:])))
+                for p, a, b in zip(parts, bounds, bounds[1:]))
+
+    def _draws(self, count: int, *parts):
+        """`_runs` one draw at a time: per draw, a tuple of one value per part, an
+        array of shape streams + shape or a Python int."""
+        for run in self._runs(count, *parts):
+            yield from zip(*run)

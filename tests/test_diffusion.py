@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -169,6 +170,23 @@ def test_analytic_denoiser_step_validation():
     x = np.ones(d.shape)
     assert np.array_equal(den.predict(x, 3.0), den.predict(x, 3))
     assert np.array_equal(den.predict(x, np.int64(3)), den.predict(x, 3))
+
+
+@pytest.mark.parametrize("T", [1, 7, 1000])
+@pytest.mark.parametrize("mu, sigma0", [(0.3, 0.05), (-1.7, 2.5)])
+def test_analytic_denoiser_tables_match_the_scalar_formulas(T, mu, sigma0):
+    d = GaussianDataSpec(mean=mu, stddev=sigma0, shape=(2, 3, 4))
+    s = linear_schedule(T)
+    den = AnalyticGaussianDenoiser(d, s)
+    x = Rng(T).normal(d.shape)
+    for t in range(1, T + 1):
+        ab = s.alpha_bar[t - 1]
+        slope = math.sqrt(1.0 - ab) / (ab * sigma0 ** 2 + 1.0 - ab)
+        assert repr(float(den.coefficient(t))) == repr(float(slope))
+        want = den.coefficient(t) * (x - math.sqrt(ab) * mu)
+        assert den.predict(x, t).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=rf"step t must lie in 1\.\.{T}, got {T + 1}$"):
+        den.predict(x, T + 1)
 
 
 class ReplayOracle:
@@ -463,6 +481,32 @@ def test_whole_float_and_numpy_shape_sides_equal_int_sides():
         assert GaussianDataSpec(0.0, 1.0, shape).shape == (1, 4, 3)
 
 
+class FloatDenoiser:
+    """Returns one Python float per step."""
+
+    def predict(self, x_t, t):
+        return 0.125 * t
+
+
+class PlaneDenoiser:
+    """Returns an H x W array, which broadcasts over the channels."""
+
+    def predict(self, x_t, t):
+        return 0.5 * np.asarray(x_t)[0] - t
+
+
+class IdentityDenoiser:
+    """Returns its own input."""
+
+    def predict(self, x_t, t):
+        return x_t
+
+
+# predict may return anything that broadcasts to data.shape
+_LOSS_DENOISERS = [AnalyticGaussianDenoiser, lambda data, s: FloatDenoiser(),
+                   lambda data, s: PlaneDenoiser(), lambda data, s: IdentityDenoiser()]
+
+
 @pytest.mark.parametrize("per_block", [None, 1, 4, 7, 64])
 def test_training_loss_block_draws_match_per_draw_replay(per_block, monkeypatch):
     for shape in ((1, 3, 3), (3, 5, 7)):
@@ -471,9 +515,9 @@ def test_training_loss_block_draws_match_per_draw_replay(per_block, monkeypatch)
         data = GaussianDataSpec(0.3, 0.05, shape)
         for s in (linear_schedule(12), linear_schedule(12, sigma_mode="zero"),
                   linear_schedule(1)):
-            for seed in (0, 91):
-                got_den = Recorder(AnalyticGaussianDenoiser(data, s))
-                want_den = Recorder(AnalyticGaussianDenoiser(data, s))
+            for make, seed in itertools.product(_LOSS_DENOISERS, (0, 91)):
+                got_den = Recorder(make(data, s))
+                want_den = Recorder(make(data, s))
                 got_rng, want_rng = Rng(seed), Rng(seed)
                 got = training_loss(got_den, data, s, 23, got_rng)
                 want = training_loss_per_draw(want_den, data, s, 23, want_rng)

@@ -84,9 +84,10 @@ def test_private_imports_are_on_the_allow_list(path):
 
 
 # The private attributes each module may read through an object other than
-# `self`: diffusion takes its draws one at a time from Rng._draws, and
-# nothing outside rng sees _top53, _count or _streams.
-PRIVATE_ATTRIBUTES = {"diffusion.py": {"_draws"}}
+# `self`: diffusion takes the sampler's draws one at a time from Rng._draws
+# and the training loss's in runs from Rng._runs, and nothing outside rng
+# sees _top53, _count or _streams.
+PRIVATE_ATTRIBUTES = {"diffusion.py": {"_draws", "_runs"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
