@@ -5,14 +5,18 @@ one directly to a critically sampled image folds the new high-frequency
 content back into the band as aliasing. The wrapped form evaluates the
 nonlinearity at doubled resolution between an alias-free upsample and an
 alias-free downsample, giving the created harmonics headroom before the
-low-pass filter removes them.
+low-pass filter removes them. An image of more than 2^14 elements is
+wrapped one band of output rows at a time, each band with the input rows
+its filters reach, so the doubled grid is never held whole; the bytes
+are those of the whole image.
 
 `gelu` takes its erf from a numpy port of fdlibm's (Sun, 1993), as
 glibc's `sysdeps/ieee754/dbl-64/s_erf.c` computes it: the same four
 branches, the same coefficients and glibc's term order, evaluated over
 the input in blocks of 2^14 elements so every temporary stays in cache.
-On glibc it equals `math.erf` bitwise; on any libm it is within 1 ulp of
-the true erf.
+A block with |x| < 0.84375 throughout, as raster data gives, skips the
+three outer branches. On glibc it equals `math.erf` bitwise; on any libm
+it is within 1 ulp of the true erf.
 """
 
 import math
@@ -26,6 +30,9 @@ ACTIVATIONS = ("relu", "gelu")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 14  # gelu elements per block
+_BAND = 1 << 14  # wrapped output elements per band of rows, across channels
+_HALO = 16  # least rows a band per unit of kernel radius: the halo adds at most 1/8
+_LEAST = np.finfo(float).min
 
 # fdlibm's erf coefficients. Each polynomial is c0 + s*c1 + s^2*(c2 + s*c3) + ...
 _ERX, _EFX = 8.45062911510467529297e-01, 1.28379167095512586316e-01
@@ -55,10 +62,18 @@ _RA_END = float.fromhex("0x1.6db6ep+1")  # glibc's high-word test for |x| < 1/0.
 
 def _pairs(s, powers, c):
     """c[0] + s*c[1] + powers[0]*(c[2] + s*c[3]) + powers[1]*(c[4] + ...) + ...,
-    summed left to right as glibc does; a lone last coefficient stands alone."""
-    out = c[0] + s * c[1]
+    summed left to right as glibc does, in place (IEEE + and * commute bitwise);
+    a lone last coefficient stands alone."""
+    out = s * c[1]
+    out += c[0]
     for p, k in zip(powers, range(2, len(c), 2)):
-        out = out + p * (c[k] + s * c[k + 1] if k + 1 < len(c) else c[k])
+        if k + 1 < len(c):
+            term = s * c[k + 1]
+            term += c[k]
+            term *= p
+        else:
+            term = p * c[k]
+        out += term
     return out
 
 
@@ -72,20 +87,26 @@ def _powers(s):
 def _erf(x: np.ndarray) -> np.ndarray:
     """erf of a float array by fdlibm's branches, in glibc's operation order.
 
-    An array with 2^-28 <= |x| < 0.84375 throughout takes the first
-    rational fit alone; any other gets the others patched in through masks.
+    The first rational fit runs over the whole array and |x| < 2^-28 is
+    patched in; an array with |x| < 0.84375 throughout (raster data) stops
+    there, and any other, nan included, gets the branches past it patched
+    in through masks.
     """
     a = np.abs(x)
+    hi = a.max(initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         z = x * x
         z2 = z * z
         p = z2, z2 * z2
-        y = x + x * (_pairs(z, p, _PP) / _pairs(z, p, _QQ))
-        if a.size and a.min() >= 2.0 ** -28 and a.max() < 0.84375:
-            return y
+        y = _pairs(z, p, _PP)
+        y /= _pairs(z, p, _QQ)
+        y *= x
+        y += x  # x + x * (P / Q)
         tiny = a < 2.0 ** -28
         # glibc's scaling keeps subnormal bits; for |x| >= 2^-1015 it equals x + efx*x
         y[tiny] = 0.0625 * (16.0 * x[tiny] + (16.0 * _EFX) * x[tiny])
+        if hi < 0.84375:  # false for nan
+            return y
         mid = (a >= 0.84375) & (a < 1.25)
         s = a[mid] - 1.0
         p = _powers(s)
@@ -115,7 +136,7 @@ def _gelu_into(flat: np.ndarray, out: np.ndarray) -> np.ndarray:
         for i in range(0, flat.size, _BLOCK):
             block = flat[i:i + _BLOCK]
             # -inf floored to the least double gives -0.0; every other value passes unchanged
-            out[i:i + _BLOCK] = (np.maximum(block, np.finfo(float).min) * 0.5
+            out[i:i + _BLOCK] = (np.maximum(block, _LEAST) * 0.5
                                  * (1.0 + _erf(block * _INV_SQRT2)))
     return out
 
@@ -145,19 +166,42 @@ def apply_pointwise(img, act: str) -> np.ndarray:
     return relu(arr) if act == "relu" else gelu(arr)
 
 
-def wrapped_activation(img, act: str, kernel: Kernel2D,
-                       padding: str = "reflect") -> np.ndarray:
-    """Upsample 2x, apply the nonlinearity, downsample 2x.
-
-    Resolution is unchanged end to end. Both rate changes use the same
-    anti-aliasing kernel and padding rule. `act` is checked first, and the
-    nonlinearity runs in place on the fresh upsampled array.
-    """
-    _check_act(act)
-    up = upsample2x_af(img, kernel, padding)
+def _wrapped(arr: np.ndarray, act: str, kernel: Kernel2D, padding: str) -> np.ndarray:
+    """Up, act in place, down: a whole image or one band's rows."""
+    up = upsample2x_af(arr, kernel, padding)
     flat = up.reshape(-1)  # a view: the fresh upsample is C-contiguous
     if act == "relu":
         np.maximum(flat, 0.0, out=flat)
     else:
         _gelu_into(flat, flat)
     return downsample2x_af(up, kernel, padding)
+
+
+def wrapped_activation(img, act: str, kernel: Kernel2D,
+                       padding: str = "reflect") -> np.ndarray:
+    """Upsample 2x, apply the nonlinearity, downsample 2x.
+
+    Resolution is unchanged end to end. Both rate changes use the same
+    anti-aliasing kernel and padding rule. `act` and the image are checked
+    first, and the nonlinearity runs in place on the fresh upsampled array.
+
+    An image of more than 2^14 elements runs in bands of output rows, at
+    most 2^14 output elements each, but at least one row and at least 16r
+    rows for a kernel of radius r. Output row n reads only input rows
+    n - r ... n + r, so a band runs the three steps on its rows and r more
+    on each side, clipped to the image, and keeps its own rows: the bytes
+    are the whole image's, and the recomputed rows add at most 1/8 to the
+    work. An image that may fail the reflect limit runs whole, so an error
+    names the whole image.
+    """
+    _check_act(act)
+    arr = check_image(img)
+    (C, H, W), r = arr.shape, kernel.radius
+    rows = H if r > 2 * min(H, W) else max(1, _BAND // (C * W), _HALO * r)
+    if rows >= H:  # one band: its result is the output, not copied into one
+        return _wrapped(arr, act, kernel, padding)
+    out = np.empty((C, H, W))
+    for n0 in range(0, H, rows):
+        n1, s0 = min(n0 + rows, H), max(n0 - r, 0)
+        out[:, n0:n1] = _wrapped(arr[:, s0:n1 + r], act, kernel, padding)[:, n0 - s0:n1 - s0]
+    return out

@@ -128,6 +128,51 @@ def test_gelu_of_a_signalling_nan_is_a_silent_nan():
     assert g[:-1].tobytes() == gelu(finite).tobytes()
 
 
+def _raster_block():
+    """A block like upsampled raster data over sqrt 2: |x| < 0.84375 throughout,
+    with signed zeros, subnormals, values below 2^-28 and the last double below
+    0.84375."""
+    block = Rng(8).uniform(_BLOCK) * 1.68 - 0.84
+    small = (0.0, -0.0, 5e-324, -35 * 5e-324, 43 * 5e-324, 1e-310, 2.0 ** -29, -(2.0 ** -28) / 3,
+             np.nextafter(2.0 ** -28, 0.0), 2.0 ** -28, -np.nextafter(0.84375, 0.0))
+    block[:len(small)] = small
+    return block
+
+
+def _assert_erf(x, got):
+    """got is math.erf of x bitwise on glibc, and within 1 ulp of erf on any libm."""
+    if ON_GLIBC:
+        assert got.tobytes() == np.array([math.erf(v) for v in x]).tobytes()
+    else:
+        assert max(erf_error_ulps(xi, gi) for xi, gi in zip(x[::64], got[::64])) <= 1.0
+
+
+def test_erf_of_a_raster_block_skips_the_outer_branches(monkeypatch):
+    def outer_branch(s):
+        raise AssertionError("a branch past |x| < 0.84375 ran")
+
+    monkeypatch.setattr(activation, "_powers", outer_branch)  # the outer branches' first call
+    x = _raster_block()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _erf(x)
+    _assert_erf(x, got)
+    assert np.array_equal(np.signbit(got[:2]), [False, True])
+
+
+@pytest.mark.parametrize("edge", [0.84375, -1.25, 6.0, np.nan])
+def test_erf_patches_a_lone_outer_element_of_a_raster_block(edge):
+    x = _raster_block()
+    want = _erf(x)
+    x[100] = edge
+    got = _erf(x)
+    assert np.delete(got, 100).tobytes() == np.delete(want, 100).tobytes()
+    if math.isnan(edge):
+        assert math.isnan(got[100])
+    else:
+        _assert_erf(x[100:101], got[100:101])
+
+
 @glibc_only
 @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
 @pytest.mark.parametrize("scale", [0.5, 3.0])

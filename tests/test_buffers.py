@@ -17,7 +17,7 @@ import platform
 import numpy as np
 import pytest
 
-from aliasfree import (FilterSpec, apply_pointwise, byte_to_float, design_kernel,
+from aliasfree import (FilterSpec, activation, apply_pointwise, byte_to_float, design_kernel,
                        downsample2x_af, downsample2x_naive, float_to_byte, gelu, relu, rotate,
                        upsample2x_af, upsample2x_naive, wrapped_activation, write_raster)
 
@@ -27,6 +27,8 @@ from _oracles import bilinear_gather_2d
 from test_resample import traced_peak
 
 K1N = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
+K9 = design_kernel(FilterSpec(kaiser_beta=4.0, normalized=True, kernel_size=9))  # radius 4
+K1 = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True, kernel_size=1))  # radius 0
 PHI = 0.4487989505
 
 
@@ -98,13 +100,26 @@ def test_a_ppm_command_holds_one_channel_plane_of_floats(tmp_path, argv):
     assert traced_peak(main, command) < 5.5 * x.nbytes
 
 
+@pytest.mark.parametrize("whole", (True, False), ids=("whole", "banded"))
 @pytest.mark.parametrize("act", ("relu", "gelu"))
 @pytest.mark.parametrize("padding", ("reflect", "zero"))
-def test_the_wrapped_nonlinearity_holds_one_doubled_grid(act, padding):
-    # about 2.56x the upsampled bytes, one doubled-grid buffer less than
-    # evaluating the nonlinearity into a fresh array (3.56x)
+def test_the_wrapped_nonlinearity_holds_one_doubled_grid(monkeypatch, act, padding, whole):
+    # whole: about 2.56x the upsampled bytes, one doubled grid less than
+    # evaluating the nonlinearity into a fresh array (3.56x); in bands of
+    # rows, about 1.15x (relu) to 1.43x (gelu)
     x = np.random.default_rng(2).uniform(-1.2, 1.2, (3, 128, 128))
+    if whole:
+        monkeypatch.setattr(activation, "_BAND", x.size)  # one band: the whole-image path
     assert traced_peak(wrapped_activation, x, act, K1N, padding) < 3.0 * 4 * x.nbytes
+
+
+@pytest.mark.parametrize("act", ("relu", "gelu"))
+@pytest.mark.parametrize("padding", ("reflect", "zero"))
+def test_the_wrapped_nonlinearity_of_a_large_plane_holds_one_band(act, padding):
+    # the output and one band's doubled rows: about 1.7x-1.9x the input's bytes,
+    # where the whole doubled grid and its padded copy took 10x
+    x = np.random.default_rng(2).uniform(-1.2, 1.2, (1, 512, 512))
+    assert traced_peak(wrapped_activation, x, act, K1N, padding) < 2.5 * x.nbytes
 
 
 def test_naive_upsample_blends_into_its_gathers():
@@ -154,6 +169,73 @@ def test_wrapped_nonlinearity_equals_pointwise_on_the_upsample_bitwise(noncontig
             want = downsample2x_af(apply_pointwise(upsample2x_af(x, K1N, padding), act),
                                    K1N, padding)
             assert wrapped_activation(x, act, K1N, padding).tobytes() == want.tobytes()
+
+
+def _wrapped_whole(x, act, kernel, padding="reflect"):
+    return downsample2x_af(apply_pointwise(upsample2x_af(x, kernel, padding), act),
+                           kernel, padding)
+
+
+@pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))
+@pytest.mark.parametrize("kernel", (K1, K1N, K9), ids=("1x1", "3x3", "9x9"))
+def test_banded_wrapped_nonlinearity_equals_the_whole_image_bitwise(
+        monkeypatch, kernel, noncontiguous):
+    bands = []
+    monkeypatch.setattr(activation, "upsample2x_af",
+                        lambda x, *args: bands.append(x.shape[1]) or upsample2x_af(x, *args))
+    monkeypatch.setattr(activation, "_HALO", 0)  # bands of any height
+    # 3 x 12 x 10, and a 1 x 12 x 2 strip, whose reflect limit for upsampling is size 9
+    for x in (edge_input(noncontiguous), edge_input(noncontiguous)[1:2, :, 3:5]):
+        C, H, W = x.shape
+        # 1 element is still one row a band, one element short of 6 rows is 5;
+        # 5 and 11 rows do not divide 12
+        for band, rows in ((1, 1), (C * W, 1), (6 * C * W - 1, 5), ((H - 1) * C * W, H - 1)):
+            monkeypatch.setattr(activation, "_BAND", band)
+            for act in ("relu", "gelu"):
+                for padding in ("reflect", "zero"):
+                    bands.clear()
+                    got = wrapped_activation(x, act, kernel, padding)
+                    assert len(bands) == -(-H // rows)
+                    assert got.tobytes() == _wrapped_whole(x, act, kernel, padding).tobytes()
+
+
+@pytest.mark.parametrize("kernel", (K1N, K9), ids=("3x3", "9x9"))
+def test_a_band_is_at_least_sixteen_kernel_radii_tall(monkeypatch, kernel):
+    bands = []
+    monkeypatch.setattr(activation, "upsample2x_af",
+                        lambda x, *args: bands.append(x.shape[1]) or upsample2x_af(x, *args))
+    monkeypatch.setattr(activation, "_BAND", 10)  # one row of the 1 x 200 x 10 input
+    x = np.random.default_rng(5).uniform(-1.2, 1.2, (1, 200, 10))
+    rows = 16 * kernel.radius
+    got = wrapped_activation(x, "gelu", kernel)
+    # each band's slab is its rows and up to r more on each side
+    assert len(bands) == -(-200 // rows) and max(bands) == rows + 2 * kernel.radius
+    assert got.tobytes() == _wrapped_whole(x, "gelu", kernel).tobytes()
+
+
+def test_banding_keeps_the_whole_images_errors_and_their_order(monkeypatch):
+    upsampled = []
+    monkeypatch.setattr(activation, "upsample2x_af",
+                        lambda *args: upsampled.append(args) or upsample2x_af(*args))
+    monkeypatch.setattr(activation, "_BAND", 8)
+    tall = np.zeros((1, 40, 1))  # the first 8-row band's slab would name a 12 x 1 image
+    with pytest.raises(ValueError, match="limit 5 for upsampling a 40 x 1 image$"):
+        wrapped_activation(tall, "relu", K9)
+    # zero padding has no limit: such an image runs whole
+    assert wrapped_activation(tall, "gelu", K9, "zero").tobytes() == (
+        _wrapped_whole(tall, "gelu", K9, "zero").tobytes())
+    upsampled.clear()
+    late = np.zeros((1, 40, 4))
+    late[0, 35, 2] = np.inf  # in the last band
+    for call, message in ((lambda: wrapped_activation(late, "tanh", K1N, "wrap"),
+                           "unknown activation 'tanh'"),
+                          (lambda: wrapped_activation(late, "relu", K1N, "wrap"),
+                           "image values must be finite"),
+                          (lambda: wrapped_activation(late[:, :34], "relu", K1N, "wrap"),
+                           "unknown padding mode 'wrap'")):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert len(upsampled) == 1  # only the last call reached the first band
 
 
 @pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))
