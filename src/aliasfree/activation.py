@@ -10,13 +10,13 @@ wrapped one band of output rows at a time, each band with the input rows
 its filters reach, so the doubled grid is never held whole; the bytes
 are those of the whole image.
 
-`gelu` takes its erf from a numpy port of fdlibm's (Sun, 1993), as
-glibc's `sysdeps/ieee754/dbl-64/s_erf.c` computes it: the same four
-branches, the same coefficients and glibc's term order, evaluated over
-the input in blocks of 2^14 elements so every temporary stays in cache.
-A block with |x| < 0.84375 throughout, as raster data gives, skips the
-three outer branches. On glibc it equals `math.erf` bitwise; on any libm
-it is within 1 ulp of the true erf.
+`gelu` takes its erf for |x| < 1.25 from a numpy port of glibc's fdlibm
+erf (`sysdeps/ieee754/dbl-64/s_erf.c`, Sun 1993), with its coefficients
+and term order, over blocks of 2^14 elements so every temporary stays in
+cache; a block with |x| < 0.84375 throughout, as raster data gives, stops
+after the first branch. Past 1.25 each element takes `math.erf`, the C
+library's on Python >= 3.11, so on glibc the result is `math.erf` bitwise.
+On Python 3.10 it is CPython's, and whether it meets 1 ulp is unverified.
 """
 
 import math
@@ -45,19 +45,6 @@ _PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01, -3.7220787603570
        -2.16637559486879084300e-03)
 _QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01, 7.18286544141962662868e-02,
        1.26171219808761642112e-01, 1.36370839120290507362e-02, 1.19844998467991074170e-02)
-_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01, -1.05586262253232909814e+01,
-       -6.23753324503260060396e+01, -1.62396669462573470355e+02, -1.84605092906711035994e+02,
-       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
-_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02, 4.34565877475229228821e+02,
-       6.45387271733267880336e+02, 4.29008140027567833386e+02, 1.08635005541779435134e+02,
-       6.57024977031928170135e+00, -6.04244152148580987438e-02)
-_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01, -1.77579549177547519889e+01,
-       -1.60636384855821916062e+02, -6.37566443368389627722e+02, -1.02509513161107724954e+03,
-       -4.83519191608651397019e+02)
-_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02, 1.53672958608443695994e+03,
-       3.19985821950859553908e+03, 2.55305040643316442583e+03, 4.74528541206955367215e+02,
-       -2.24409524465858183362e+01)
-_RA_END = float.fromhex("0x1.6db6ep+1")  # glibc's high-word test for |x| < 1/0.35
 
 
 def _pairs(s, powers, c):
@@ -78,19 +65,20 @@ def _pairs(s, powers, c):
 
 
 def _powers(s):
-    """s^2, s^4, s^6 and s^8, each formed as glibc forms it."""
+    """s^2, s^4 and s^6, each formed as glibc forms it."""
     s2 = s * s
     s4 = s2 * s2
-    return s2, s4, s4 * s2, s4 * s4
+    return s2, s4, s4 * s2
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
-    """erf of a float array by fdlibm's branches, in glibc's operation order.
+    """erf of a float array: fdlibm's branches for |x| < 1.25, in glibc's
+    operation order, and `math.erf` per element past that.
 
     The first rational fit runs over the whole array and |x| < 2^-28 is
     patched in; an array with |x| < 0.84375 throughout (raster data) stops
-    there, and any other, nan included, gets the branches past it patched
-    in through masks.
+    there. Any other gets 0.84375 <= |x| < 1.25 patched in through a mask,
+    and every remaining element, nan and +-inf included, from `math.erf`.
     """
     a = np.abs(x)
     hi = a.max(initial=0.0)
@@ -111,18 +99,8 @@ def _erf(x: np.ndarray) -> np.ndarray:
         s = a[mid] - 1.0
         p = _powers(s)
         y[mid] = np.copysign(_ERX + _pairs(s, p, _PA) / _pairs(s, p, _QA), x[mid])
-        tail = (a >= 1.25) & (a < 6.0)
-        t = a[tail]
-        s = 1.0 / (t * t)
-        p = _powers(s)
-        ratio = np.where(t < _RA_END, _pairs(s, p, _RA) / _pairs(s, p, _SA),
-                         _pairs(s, p, _RB) / _pairs(s, p, _SB))
-        z = (t.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(float)  # low word cleared
-        # math.exp, not np.exp: numpy's own exp loop rounds differently from libm's
-        r = np.array([math.exp(u) * math.exp(w) for u, w in
-                      zip((-z * z - 0.5625).tolist(), ((z - t) * (z + t) + ratio).tolist())])
-        y[tail] = np.copysign(1.0 - r / t, x[tail])
-        np.copysign(1.0, x, out=y, where=a >= 6.0)
+        outer = ~(a < 1.25)  # nan and +-inf too: math.erf gives nan, +-1.0 and +-1.0 past 6
+        y[outer] = list(map(math.erf, x[outer].tolist()))
     return y
 
 
@@ -144,11 +122,12 @@ def _gelu_into(flat: np.ndarray, out: np.ndarray) -> np.ndarray:
 def gelu(values) -> np.ndarray:
     """Exact Gaussian-CDF form: v * Phi(v) = v * 0.5 * (1 + erf(v / sqrt 2)).
 
-    erf is fdlibm's, ported from glibc's `s_erf.c` with glibc's term order
-    and evaluated over the flattened input in blocks of 2^14 elements. On
+    erf is `_erf`, over the flattened input in blocks of 2^14 elements: a
+    port of glibc's `s_erf.c` for |x| < 1.25 and `math.erf` past it. On
     glibc every output equals the same formula with `math.erf` bitwise;
-    on any libm erf is within 1 ulp of the true value. gelu(-inf) is
-    -0.0, the limit, where the formula would give -inf * 0 = nan.
+    elsewhere the ported part is within 1 ulp of the true erf and the rest
+    is the platform's `math.erf`. gelu(-inf) is -0.0, the limit, where the
+    formula would give -inf * 0 = nan.
     """
     v = np.asarray(values, dtype=float)
     return _gelu_into(v.ravel(), np.empty(v.size)).reshape(v.shape)[()]  # 0-d in, scalar out

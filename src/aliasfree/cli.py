@@ -50,21 +50,11 @@ from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
 from .filter_design import HALF_PI, FilterSpec, design_kernel, kernel_to_text
 from .image_io import _encode_planes, raster_format, read_raster, write_raster
 from .resample import PADDING_MODES, _image_shape
-from .rng import Rng, _whole
+from .rng import Rng, _number, _whole
 from .rotation import FILL_MODES, _rotator
 from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
                        band_limited_corpus, config_name, equivariance_error,
                        freq_response, pipeline_stages)
-
-
-def _number(cast):
-    """`cast` (int or float) of text, refusing the "_" Python skips ("1_0" is 10)."""
-    def read(text: str):
-        if "_" in text:
-            raise ValueError(f"number {text!r} contains '_'")
-        return cast(text)
-    read.__name__ = cast.__name__  # argparse's message: "invalid int value: '1_0'"
-    return read
 
 
 _int, _float = _number(int), _number(float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _finite, _whole
+from .rng import _finite, _number, _whole
 from .special_functions import bessel_i0, jinc
 
 HALF_PI = math.pi / 2.0
@@ -132,7 +132,7 @@ def kernel_from_text(text: str) -> Kernel2D:
     if len({len(row) for row in rows}) != 1:
         raise ValueError("kernel text rows have unequal lengths")
     try:
-        values = [[float(token) for token in row] for row in rows]
+        values = [list(map(_number(float), row)) for row in rows]
     except ValueError:
         raise ValueError("kernel text holds a non-numeric token") from None
     return Kernel2D(np.array(values))

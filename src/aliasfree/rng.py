@@ -15,7 +15,7 @@ one draw at a time. So the block layout stays in this module. `normal`
 and `randint` take one draw, the samplers one per noisy step, and the
 training loss in `diffusion` whole runs. The stream, the counter and every
 output bit are those of one call per draw. The number rules live here too:
-`_finite` for real scalars and `_whole` for counts and sizes; both refuse text.
+`_finite` (real scalars) and `_whole` (counts, sizes) refuse text; `_number` reads it.
 """
 
 import itertools
@@ -61,6 +61,17 @@ def _finite(value, name: str, kind: str = "a finite number") -> float:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _number(cast):
+    """`cast` (int or float) of text: the package's one rule for numbers written
+    as text. It refuses the "_" Python skips ("1_0" is 10), which nothing writes."""
+    def read(text: str):
+        if "_" in text:
+            raise ValueError(f"number {text!r} contains '_'")
+        return cast(text)
+    read.__name__ = cast.__name__  # argparse's message: "invalid int value: '1_0'"
+    return read
 
 
 def _whole(value, name: str, least: int | None = None) -> int:

@@ -30,7 +30,7 @@ from .activation import _check_act, apply_pointwise, wrapped_activation
 from .filter_design import HALF_PI, FilterSpec, Kernel2D, design_kernel
 from .resample import (PADDING_MODES, check_image, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
-from .rng import Rng, _finite, _whole
+from .rng import Rng, _finite, _number, _whole
 from .rotation import _rotator
 
 # kind -> (alias-free resamplers?, wrapped nonlinearity?)
@@ -168,9 +168,7 @@ def parse_config_name(name: str) -> PipelineConfig:
         return PipelineConfig(kind)
     normalized = tail.endswith("N")
     try:
-        if "_" in tail:  # float() would read "1_0" as 10, which config_name never writes
-            raise ValueError
-        beta = float(tail[:-1] if normalized else tail)
+        beta = _number(float)(tail[:-1] if normalized else tail)
     except ValueError:
         raise ValueError(f"bad filter beta in pipeline name {name!r}") from None
     return PipelineConfig(kind, FilterSpec(kaiser_beta=beta, normalized=normalized))

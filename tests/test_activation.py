@@ -1,6 +1,7 @@
 import math
 import platform
 import sys
+import types
 import warnings
 
 import mpmath as mp
@@ -18,9 +19,10 @@ from _oracles import erf_error_ulps
 K1N = design_kernel(FilterSpec(kaiser_beta=1.0, normalized=True))
 
 # Since Python 3.11, math.erf is the C library's erf, and glibc's is the
-# fdlibm code that _erf ports in the same operation order. Other libms
-# (musl, macOS, Windows) round differently, so only on glibc can the bits
-# be required to match; the mpmath oracle below holds on any libm.
+# fdlibm code that _erf ports for |x| < 1.25 in the same operation order
+# (past that _erf calls math.erf). Other libms (musl, macOS, Windows) round
+# differently, so only on glibc can the bits be required to match; the
+# mpmath oracle below runs on any libm.
 ON_GLIBC = platform.libc_ver()[0] == "glibc" and sys.version_info >= (3, 11)
 glibc_only = pytest.mark.skipif(not ON_GLIBC, reason="math.erf is glibc's only there")
 
@@ -151,7 +153,8 @@ def test_erf_of_a_raster_block_skips_the_outer_branches(monkeypatch):
     def outer_branch(s):
         raise AssertionError("a branch past |x| < 0.84375 ran")
 
-    monkeypatch.setattr(activation, "_powers", outer_branch)  # the outer branches' first call
+    monkeypatch.setattr(activation, "_powers", outer_branch)  # the middle branch's first call
+    monkeypatch.setattr(activation, "math", types.SimpleNamespace(erf=outer_branch))  # the tail's
     x = _raster_block()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -160,7 +163,7 @@ def test_erf_of_a_raster_block_skips_the_outer_branches(monkeypatch):
     assert np.array_equal(np.signbit(got[:2]), [False, True])
 
 
-@pytest.mark.parametrize("edge", [0.84375, -1.25, 6.0, np.nan])
+@pytest.mark.parametrize("edge", [0.84375, -1.25, 2.8571431781744407, 6.0, np.nan, -np.inf])
 def test_erf_patches_a_lone_outer_element_of_a_raster_block(edge):
     x = _raster_block()
     want = _erf(x)

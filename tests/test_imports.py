@@ -1,7 +1,7 @@
 """Every name imported into a module of the package is used there, every
-private helper defined in the package is used somewhere in it, and a
-module imports another module's private names, or reads private
-attributes of objects other than `self`, only from an allow-list.
+private helper or constant defined in the package is used somewhere in
+it, and a module imports another module's private names, or reads
+private attributes of objects other than `self`, only from an allow-list.
 
 No linter ships with the project, so this stands in for the unused-import
 and dead-code checks. __init__.py is skipped by the import check: its
@@ -39,16 +39,21 @@ def test_every_import_is_used(path):
 
 
 def private_definitions(tree):
-    """Private module-level functions and classes, and private methods."""
+    """Private module-level functions, classes and constants, and private methods."""
     defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
     defs += [m for c in tree.body if isinstance(c, ast.ClassDef)
              for m in c.body if isinstance(m, ast.FunctionDef)]
-    return {d.name for d in defs if d.name.startswith("_") and not d.name.startswith("__")}
+    names = {d.name for d in defs}
+    targets = [t for n in tree.body if isinstance(n, ast.Assign) for t in n.targets]
+    targets += [n.target for n in tree.body if isinstance(n, ast.AnnAssign)]
+    names |= {name.id for t in targets for name in ast.walk(t) if isinstance(name, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
 def referenced_names(tree):
+    """Names read (a constant's own assignment is no use of it) and attributes."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -59,18 +64,19 @@ def test_every_private_helper_is_used(path):
     trees = [ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")]
     used = {name for tree in trees for name in referenced_names(tree)}
     dead = sorted(private_definitions(ast.parse(path.read_text())) - used)
-    assert dead == [], f"{path.name} defines private helpers nothing uses: {dead}"
+    assert dead == [], f"{path.name} defines private helpers or constants nothing uses: {dead}"
 
 
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
-PRIVATE_IMPORTS = {"cli.py": {"_encode_planes", "_image_shape", "_rotator", "_whole"},
+PRIVATE_IMPORTS = {"cli.py": {"_encode_planes", "_image_shape", "_number", "_rotator", "_whole"},
                    "diffusion.py": {"_finite", "_whole", "_rotator", "_image_shape"},
-                   "filter_design.py": {"_finite", "_whole"}, "resample.py": {"_whole"},
+                   "filter_design.py": {"_finite", "_number", "_whole"},
+                   "resample.py": {"_whole"},
                    "rotation.py": {"_blend", "_check_finite", "_finite", "_linear_plan",
                                    "_image_shape"},
                    "special_functions.py": {"_finite"},
-                   "spectral.py": {"_check_act", "_finite", "_rotator", "_whole"}}
+                   "spectral.py": {"_check_act", "_finite", "_number", "_rotator", "_whole"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -120,6 +126,25 @@ def test_the_finite_number_rule_is_written_once():
                   if isinstance(node, ast.FunctionDef) and node.name == "_finite")
     assert "math.isfinite(" in ast.get_source_segment(sources["rng.py"], finite)
     assert not any("_as_finite_float" in text for text in sources.values())
+
+
+def test_the_text_number_rule_is_written_once():
+    """Numbers written as text go through rng._number, the one place that
+    refuses the "_" float() and int() skip; the CLI's arguments, pipeline
+    names and kernel text all read their numbers with it."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sum(text.count('"_" in') + text.count("'_' in") for text in sources.values()) == 1
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    rule = next(node for node in trees["rng.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_number")
+    assert '"_" in' in ast.get_source_segment(sources["rng.py"], rule)
+    readers = {"cli.py": None, "spectral.py": "parse_config_name",
+               "filter_design.py": "kernel_from_text"}
+    for module, name in readers.items():
+        scope = trees[module] if name is None else next(
+            node for node in trees[module].body if getattr(node, "name", None) == name)
+        assert any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id == "_number" for call in ast.walk(scope)), module
 
 
 def test_the_tap_sum_is_written_once():
