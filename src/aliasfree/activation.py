@@ -5,7 +5,8 @@ one directly to a critically sampled image folds the new high-frequency
 content back into the band as aliasing. The wrapped form evaluates the
 nonlinearity at doubled resolution between an alias-free upsample and an
 alias-free downsample, giving the created harmonics headroom before the
-low-pass filter removes them. An image of more than 2^14 elements is
+low-pass filter removes them. The wrapped form checks its option, image
+and border once, up front. An image of more than 2^14 elements is then
 wrapped one band of output rows at a time, each band with the input rows
 its filters reach, so the doubled grid is never held whole; the bytes
 are those of the whole image.
@@ -24,7 +25,8 @@ import math
 import numpy as np
 
 from .filter_design import Kernel2D
-from .resample import check_image, downsample2x_af, upsample2x_af
+from .resample import _check_border, _filtered, check_image, downsample2x_af
+from .rng import _choice
 
 ACTIVATIONS = ("relu", "gelu")
 
@@ -133,21 +135,16 @@ def gelu(values) -> np.ndarray:
     return _gelu_into(v.ravel(), np.empty(v.size)).reshape(v.shape)[()]  # 0-d in, scalar out
 
 
-def _check_act(act: str) -> None:
-    if act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
-
-
 def apply_pointwise(img, act: str) -> np.ndarray:
     """Apply a named nonlinearity elementwise to an image tensor."""
     arr = check_image(img)
-    _check_act(act)
-    return relu(arr) if act == "relu" else gelu(arr)
+    return relu(arr) if _choice(act, ACTIVATIONS, "activation") == "relu" else gelu(arr)
 
 
 def _wrapped(arr: np.ndarray, act: str, kernel: Kernel2D, padding: str) -> np.ndarray:
-    """Up, act in place, down: a whole image or one band's rows."""
-    up = upsample2x_af(arr, kernel, padding)
+    """Up, act in place, down: a whole image or one band's rows. The up step takes
+    `arr` as checked; the down step's check of the doubled grid rejects an overflow."""
+    up = _filtered(arr, kernel, padding, up=2)
     flat = up.reshape(-1)  # a view: the fresh upsample is C-contiguous
     if act == "relu":
         np.maximum(flat, 0.0, out=flat)
@@ -161,8 +158,9 @@ def wrapped_activation(img, act: str, kernel: Kernel2D,
     """Upsample 2x, apply the nonlinearity, downsample 2x.
 
     Resolution is unchanged end to end. Both rate changes use the same
-    anti-aliasing kernel and padding rule. `act` and the image are checked
-    first, and the nonlinearity runs in place on the fresh upsampled array.
+    anti-aliasing kernel and padding rule. `act`, the image and its border
+    rule at up = 2 are checked first, once, and the nonlinearity runs in
+    place on the fresh upsampled array.
 
     An image of more than 2^14 elements runs in bands of output rows, at
     most 2^14 output elements each, but at least one row and at least 16r
@@ -170,13 +168,14 @@ def wrapped_activation(img, act: str, kernel: Kernel2D,
     n - r ... n + r, so a band runs the three steps on its rows and r more
     on each side, clipped to the image, and keeps its own rows: the bytes
     are the whole image's, and the recomputed rows add at most 1/8 to the
-    work. An image that may fail the reflect limit runs whole, so an error
-    names the whole image.
+    work. A slab has all W columns and at least min(H, r + 1) rows, so it
+    passes the reflect limit whenever the whole image does: no band fails.
     """
-    _check_act(act)
+    _choice(act, ACTIVATIONS, "activation")
     arr = check_image(img)
+    _check_border(arr, kernel, padding, up=2)
     (C, H, W), r = arr.shape, kernel.radius
-    rows = H if r > 2 * min(H, W) else max(1, _BAND // (C * W), _HALO * r)
+    rows = max(1, _BAND // (C * W), _HALO * r)
     if rows >= H:  # one band: its result is the output, not copied into one
         return _wrapped(arr, act, kernel, padding)
     out = np.empty((C, H, W))

@@ -8,7 +8,8 @@ takes --seed (default 0); analyze always measures its built-in seed-2024
 corpus. Angles are finite; a nonzero sample --phi needs --config rotated.
 Exit status is 0 on success, 2 when argparse rejects the command line
 (--seed on any other subcommand, a non-finite angle, a non-finite or
-repeated --denoiser argument, a number with an underscore such as --T 1_0),
+repeated --denoiser argument, a number with an underscore such as --T 1_0,
+in non-ASCII digits or with surrounding whitespace),
 and 1 when a command rejects a value or an input while running (--T 0, a
 2-channel sample shape, classical sampling with --phi 1, an unreadable file).
 A filter design_kernel rejects (--beta 800) exits 1 before any input is read.
@@ -50,7 +51,7 @@ from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
 from .filter_design import HALF_PI, FilterSpec, design_kernel, kernel_to_text
 from .image_io import _encode_planes, raster_format, read_raster, write_raster
 from .resample import PADDING_MODES, _image_shape
-from .rng import Rng, _number, _whole
+from .rng import Rng, _choice, _number, _whole
 from .rotation import FILL_MODES, _rotator
 from .spectral import (PIPELINE_KINDS, PipelineConfig, alias_energy,
                        band_limited_corpus, config_name, equivariance_error,
@@ -72,7 +73,7 @@ def _argument(parse):
 
 def parse_angle(text: str) -> float:
     """Finite float radians, with the convenience token half-pi."""
-    angle = HALF_PI if text.strip() == "half-pi" else _float(text)
+    angle = HALF_PI if text == "half-pi" else _float(text)
     if not math.isfinite(angle):
         raise ValueError(f"angle {text!r} is not finite")
     return angle
@@ -94,7 +95,7 @@ _DENOISERS = {
 
 def parse_denoiser_spec(text: str):
     """Parse --denoiser values: zero, constant:v=V, gaussian:mu=M,sigma0=S."""
-    kind, _, arg_text = text.partition(":")
+    kind, _, arg_text = str(text).partition(":")
     args = {}
     if arg_text:
         for item in arg_text.split(","):
@@ -107,9 +108,7 @@ def parse_denoiser_spec(text: str):
             if key in args:
                 raise ValueError(f"denoiser argument {key!r} given twice")
             args[key] = number
-    if kind not in _DENOISERS:
-        raise ValueError(f"unknown denoiser kind {kind!r}")
-    expected, _ = _DENOISERS[kind]
+    expected, _ = _DENOISERS[_choice(kind, _DENOISERS, "denoiser kind")]
     if set(args) != expected:
         raise ValueError(
             f"denoiser {kind!r} takes arguments {sorted(expected)}, got {sorted(args)}")

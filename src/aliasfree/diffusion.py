@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .resample import _image_shape
-from .rng import Rng, _finite, _whole
+from .rng import Rng, _choice, _finite, _whole
 from .rotation import _rotator
 
 SIGMA_MODES = ("beta", "zero")
@@ -52,8 +52,7 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02,
     if not (0.0 < _finite(beta_start, "beta_start") <= _finite(beta_end, "beta_end") < 1.0):
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
-    if sigma_mode not in SIGMA_MODES:
-        raise ValueError(f"unknown sigma_mode {sigma_mode!r}, expected one of {SIGMA_MODES}")
+    _choice(sigma_mode, SIGMA_MODES, "sigma_mode")
     beta = np.linspace(beta_start, beta_end, T)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)

@@ -27,7 +27,7 @@ at full rate and of a two-dimensional gather.
 import numpy as np
 
 from .filter_design import Kernel2D
-from .rng import _whole
+from .rng import _choice, _whole
 
 PADDING_MODES = ("reflect", "zero")
 
@@ -61,17 +61,22 @@ def _require_even(arr):
     return arr
 
 
-def _filtered(arr, kernel: Kernel2D, padding: str, up: int = 1, down: int = 1) -> np.ndarray:
-    """Filter each channel on its grid interleaved with up - 1 zeros, keep every
-    `down`-th row and column, and scale by up ** 2; one of up, down is 1."""
-    (C, H, W), r = arr.shape, kernel.radius
-    if padding not in PADDING_MODES:
-        raise ValueError(f"unknown padding mode {padding!r}")
+def _check_border(arr, kernel: Kernel2D, padding: str, up: int = 1) -> None:
+    """The border rule of `_filtered`: `padding` is a known mode, and reflect padding
+    takes a kernel radius of at most up * min(H, W) for an H x W image."""
+    _, H, W = arr.shape
     limit = up * min(H, W)
-    if padding == "reflect" and r > limit:
+    if _choice(padding, PADDING_MODES, "padding mode") == "reflect" and kernel.radius > limit:
         raise ValueError(
             f"kernel size {kernel.size} exceeds reflect-padding limit {2 * limit + 1} "
             f"for {'upsampling ' if up > 1 else ''}a {H} x {W} image")
+
+
+def _filtered(arr, kernel: Kernel2D, padding: str, up: int = 1, down: int = 1) -> np.ndarray:
+    """Filter each channel on its grid interleaved with up - 1 zeros, keep every
+    `down`-th row and column, and scale by up ** 2; one of up, down is 1."""
+    _check_border(arr, kernel, padding, up)
+    (C, H, W), r = arr.shape, kernel.radius
     # Both border rules keep index parity on the interleaved grid: padded by r, its samples
     # are the input padded by r // up before and ceil(r / up) after. At up = 2 reflect turns
     # symmetric after; a padded index ramp of the interleaved axis gives that at any fold.

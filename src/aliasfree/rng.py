@@ -14,8 +14,9 @@ all streams, and yields one run of draws per block; `_draws` is its view
 one draw at a time. So the block layout stays in this module. `normal`
 and `randint` take one draw, the samplers one per noisy step, and the
 training loss in `diffusion` whole runs. The stream, the counter and every
-output bit are those of one call per draw. The number rules live here too:
-`_finite` (real scalars) and `_whole` (counts, sizes) refuse text; `_number` reads it.
+output bit are those of one call per draw. The package's argument rules live
+here too: `_finite` (real scalars) and `_whole` (counts, sizes) refuse text,
+`_number` reads it, and `_choice` checks a named option.
 """
 
 import itertools
@@ -65,13 +66,25 @@ def _finite(value, name: str, kind: str = "a finite number") -> float:
 
 def _number(cast):
     """`cast` (int or float) of text: the package's one rule for numbers written
-    as text. It refuses the "_" Python skips ("1_0" is 10), which nothing writes."""
+    as text. It refuses what Python reads loosely and nothing writes: the "_" it
+    skips ("1_0" is 10), non-ASCII digits and surrounding whitespace."""
     def read(text: str):
         if "_" in text:
             raise ValueError(f"number {text!r} contains '_'")
+        if not text.isascii() or text.strip() != text:
+            raise ValueError(f"number {text!r} must be ASCII with no surrounding whitespace")
         return cast(text)
     read.__name__ = cast.__name__  # argparse's message: "invalid int value: '1_0'"
     return read
+
+
+def _choice(value, options, what: str):
+    """`value` if it is one of the strings `options`: the package's one rule for
+    a named option. Any other value, a list or other non-string included, raises
+    a ValueError naming it and the options."""
+    if isinstance(value, str) and value in options:
+        return value
+    raise ValueError(f"unknown {what} {value!r}, expected one of {tuple(options)}")
 
 
 def _whole(value, name: str, least: int | None = None) -> int:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .resample import _blend, _check_finite, _image_shape, _linear_plan
-from .rng import _finite
+from .rng import _choice, _finite
 
 FILL_MODES = ("replicate", "zero")
 
@@ -34,8 +34,7 @@ def _rotator(shape, phi, fill: str):
     turns by phi every H x W plane of a stack whose last three axes are `shape`."""
     _, H, W = _image_shape(shape)
     phi = _finite(phi, "phi")
-    if fill not in FILL_MODES:
-        raise ValueError(f"unknown fill mode {fill!r}, expected one of {FILL_MODES}")
+    _choice(fill, FILL_MODES, "fill mode")
 
     cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
     c, s = _snap(math.cos(phi)), _snap(math.sin(phi))

@@ -26,11 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .activation import _check_act, apply_pointwise, wrapped_activation
+from .activation import ACTIVATIONS, apply_pointwise, wrapped_activation
 from .filter_design import HALF_PI, FilterSpec, Kernel2D, design_kernel
 from .resample import (PADDING_MODES, check_image, downsample2x_af, downsample2x_naive,
                        upsample2x_af, upsample2x_naive)
-from .rng import Rng, _finite, _number, _whole
+from .rng import Rng, _choice, _finite, _number, _whole
 from .rotation import _rotator
 
 # kind -> (alias-free resamplers?, wrapped nonlinearity?)
@@ -137,9 +137,7 @@ class PipelineConfig:
     kernel: Optional[Kernel2D] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown pipeline kind {self.kind!r}")
-        filtered = any(_KINDS[self.kind])
+        filtered = any(_KINDS[_choice(self.kind, PIPELINE_KINDS, "pipeline kind")])
         if filtered != (self.filter_spec is not None):
             raise ValueError(f"pipeline {self.kind} needs a filter spec" if filtered
                              else f"pipeline {self.kind} uses no filter")
@@ -177,9 +175,8 @@ def parse_config_name(name: str) -> PipelineConfig:
 def pipeline_stages(config: PipelineConfig, act: str = "relu", padding: str = "reflect"):
     """(down, act, up) of a pipeline, each a function of one C x H x W image.
     `act` and `padding` (its filters' border rule) are checked here, for every kind."""
-    _check_act(act)
-    if padding not in PADDING_MODES:
-        raise ValueError(f"unknown padding mode {padding!r}")
+    _choice(act, ACTIVATIONS, "activation")
+    _choice(padding, PADDING_MODES, "padding mode")
     af, wrapped = _KINDS[config.kind]
     filtered = {"kernel": config.kernel, "padding": padding}
     down = partial(downsample2x_af, **filtered) if af else downsample2x_naive

@@ -226,7 +226,7 @@ def test_wrapped_is_the_advertised_composition():
 
 def test_wrapped_rejects_an_unknown_act_before_upsampling(monkeypatch):
     upsampled = []
-    monkeypatch.setattr(activation, "upsample2x_af", lambda *args: upsampled.append(args))
+    monkeypatch.setattr(activation, "_filtered", lambda *args, **kwargs: upsampled.append(args))
     img = np.zeros((1, 4, 4))
     messages = set()
     for call in (lambda: wrapped_activation(img, "tanh", K1N),

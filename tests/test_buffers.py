@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from aliasfree import (FilterSpec, activation, apply_pointwise, byte_to_float, design_kernel,
-                       downsample2x_af, downsample2x_naive, float_to_byte, gelu, relu, rotate,
-                       upsample2x_af, upsample2x_naive, wrapped_activation, write_raster)
+                       downsample2x_af, downsample2x_naive, float_to_byte, gelu, relu, resample,
+                       rotate, upsample2x_af, upsample2x_naive, wrapped_activation, write_raster)
 
 from aliasfree.cli import main
 
@@ -176,13 +176,19 @@ def _wrapped_whole(x, act, kernel, padding="reflect"):
                            kernel, padding)
 
 
+def _spy_bands(monkeypatch):
+    """Record the rows of each slab the wrapped nonlinearity upsamples, one per band."""
+    bands, filtered = [], activation._filtered
+    monkeypatch.setattr(activation, "_filtered", lambda x, *args, **kwargs: (
+        bands.append(x.shape[1]) or filtered(x, *args, **kwargs)))
+    return bands
+
+
 @pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))
 @pytest.mark.parametrize("kernel", (K1, K1N, K9), ids=("1x1", "3x3", "9x9"))
 def test_banded_wrapped_nonlinearity_equals_the_whole_image_bitwise(
         monkeypatch, kernel, noncontiguous):
-    bands = []
-    monkeypatch.setattr(activation, "upsample2x_af",
-                        lambda x, *args: bands.append(x.shape[1]) or upsample2x_af(x, *args))
+    bands = _spy_bands(monkeypatch)
     monkeypatch.setattr(activation, "_HALO", 0)  # bands of any height
     # 3 x 12 x 10, and a 1 x 12 x 2 strip, whose reflect limit for upsampling is size 9
     for x in (edge_input(noncontiguous), edge_input(noncontiguous)[1:2, :, 3:5]):
@@ -201,9 +207,7 @@ def test_banded_wrapped_nonlinearity_equals_the_whole_image_bitwise(
 
 @pytest.mark.parametrize("kernel", (K1N, K9), ids=("3x3", "9x9"))
 def test_a_band_is_at_least_sixteen_kernel_radii_tall(monkeypatch, kernel):
-    bands = []
-    monkeypatch.setattr(activation, "upsample2x_af",
-                        lambda x, *args: bands.append(x.shape[1]) or upsample2x_af(x, *args))
+    bands = _spy_bands(monkeypatch)
     monkeypatch.setattr(activation, "_BAND", 10)  # one row of the 1 x 200 x 10 input
     x = np.random.default_rng(5).uniform(-1.2, 1.2, (1, 200, 10))
     rows = 16 * kernel.radius
@@ -214,16 +218,16 @@ def test_a_band_is_at_least_sixteen_kernel_radii_tall(monkeypatch, kernel):
 
 
 def test_banding_keeps_the_whole_images_errors_and_their_order(monkeypatch):
-    upsampled = []
-    monkeypatch.setattr(activation, "upsample2x_af",
-                        lambda *args: upsampled.append(args) or upsample2x_af(*args))
+    upsampled = _spy_bands(monkeypatch)
     monkeypatch.setattr(activation, "_BAND", 8)
     tall = np.zeros((1, 40, 1))  # the first 8-row band's slab would name a 12 x 1 image
     with pytest.raises(ValueError, match="limit 5 for upsampling a 40 x 1 image$"):
         wrapped_activation(tall, "relu", K9)
-    # zero padding has no limit: such an image runs whole
+    assert upsampled == []  # the whole image's border is checked before any band
+    # zero padding has no limit: such an image runs, whole, as 16r = 64 rows exceed 40
     assert wrapped_activation(tall, "gelu", K9, "zero").tobytes() == (
         _wrapped_whole(tall, "gelu", K9, "zero").tobytes())
+    assert upsampled == [40]
     upsampled.clear()
     late = np.zeros((1, 40, 4))
     late[0, 35, 2] = np.inf  # in the last band
@@ -235,7 +239,25 @@ def test_banding_keeps_the_whole_images_errors_and_their_order(monkeypatch):
                            "unknown padding mode 'wrap'")):
         with pytest.raises(ValueError, match=message):
             call()
-    assert len(upsampled) == 1  # only the last call reached the first band
+    assert upsampled == []  # every error comes before the first band
+
+
+@pytest.mark.parametrize("shape", ((3, 12, 10), (1, 200, 10), (3, 130, 64)))
+def test_a_wrapped_call_scans_finiteness_once_and_once_a_band(monkeypatch, shape):
+    # the image once, up front, and each band's doubled slab as its down step
+    # checks it, which is what rejects an upsample that overflows; the slabs
+    # themselves are slices of the checked image and are not scanned again
+    bands, scans, check = _spy_bands(monkeypatch), [], resample._check_finite
+    monkeypatch.setattr(resample, "_check_finite", lambda arr: scans.append(arr.shape) or check(arr))
+    x = np.random.default_rng(6).uniform(-1.2, 1.2, shape)
+    for kernel in (K1N, K9):
+        bands.clear()
+        scans.clear()
+        wrapped_activation(x, "gelu", kernel)
+        assert len(scans) == 1 + len(bands) and scans[0] == shape
+    checkers = np.where(np.indices(shape).sum(axis=0) % 2, -1.7e308, 1.7e308)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="values must be finite"):
+        wrapped_activation(checkers, "relu", K1N)  # finite, but its doubled grid reaches +inf
 
 
 @pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))

@@ -456,12 +456,16 @@ def test_runtime_error_message_on_stderr(tmp_path, capsys):
     (["sample", "--config", "rotated", "--phi", "inf"],
      "argument --phi: angle 'inf' is not finite"),
     (["rotate", "--in", "in.pgm", "--phi", "0_5"], "argument --phi: number '0_5' contains '_'"),
+    (["rotate", "--in", "in.pgm", "--phi", "0.5 "],
+     "argument --phi: number '0.5 ' must be ASCII with no surrounding whitespace"),
     (["kernel", "--cutoff", "nan"], "argument --cutoff: angle 'nan' is not finite"),
     (["sample", "--config", "classical", "--denoiser", "gaussian:mu=1,mu=-1,sigma0=0.1"],
      "argument --denoiser: denoiser argument 'mu' given twice"),
     (["sample", "--config", "classical", "--denoiser", "tanh"],
-     "argument --denoiser: unknown denoiser kind 'tanh'"),
-], ids=("shape", "phi-inf", "phi-underscore", "cutoff-nan", "denoiser-twice", "denoiser-kind"))
+     "argument --denoiser: unknown denoiser kind 'tanh', "
+     "expected one of ('zero', 'constant', 'gaussian')"),
+], ids=("shape", "phi-inf", "phi-underscore", "phi-space", "cutoff-nan", "denoiser-twice",
+         "denoiser-kind"))
 def test_a_rejected_parse_prints_its_own_message(tmp_path, capsys, argv, message):
     # argparse shows an ArgumentTypeError's text; for a ValueError it would print
     # only "invalid parse_shape value: '8x8'"
@@ -535,6 +539,14 @@ def test_sample_names_a_bad_trajectory_count(tmp_path, monkeypatch, capsys):
     (["sample", "--config", "classical", "--shape", "1x1_6x16"], 2),
     # 2: a denoiser argument given twice
     (["sample", "--config", "classical", "--denoiser", "gaussian:mu=1,mu=-1,sigma0=0.1"], 2),
+    # 2: a number in non-ASCII digits or with surrounding whitespace, which
+    # float() and int() read and nothing writes
+    (["kernel", "--beta", "\u0661", "--normalized"], 2),
+    (["kernel", "--beta", " 1 "], 2),
+    (["kernel", "--size", "\uff13"], 2),
+    (["rotate", "--in", "in.pgm", "--phi", " half-pi"], 2),
+    (["sample", "--config", "classical", "--shape", "1x 8x8"], 2),
+    (["sample", "--config", "classical", "--denoiser", "constant:v=\u0661"], 2),
 ])
 def test_exit_code_rule(tmp_path, monkeypatch, argv, code):
     monkeypatch.setattr("aliasfree.cli.sample_rotated", _sampler_must_not_run)

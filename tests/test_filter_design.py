@@ -183,7 +183,9 @@ def test_text_parse_errors():
         kernel_from_text("1.0 x 3.0\n" * 3)
     with pytest.raises(ValueError):
         kernel_from_text("1.0 2.0\n3.0 4.0\n")  # even size
-    # float() reads "1_0" as 10.0, which kernel_to_text never writes
-    for text in ("1_0\n", "0.1 0.1 0.1\n0.1 1_0 0.1\n0.1 0.1 0.1\n"):
+    # float() reads "1_0" as 10.0 and "\u0661" (Arabic-Indic one) as 1.0, which
+    # kernel_to_text never writes
+    for text in ("1_0\n", "0.1 0.1 0.1\n0.1 1_0 0.1\n0.1 0.1 0.1\n", "\u0661\n",
+                 "0.1 0.1 0.1\n0.1 \uff11 0.1\n0.1 0.1 0.1\n"):
         with pytest.raises(ValueError, match="kernel text holds a non-numeric token"):
             kernel_from_text(text)

@@ -69,14 +69,16 @@ def test_every_private_helper_is_used(path):
 
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
-PRIVATE_IMPORTS = {"cli.py": {"_encode_planes", "_image_shape", "_number", "_rotator", "_whole"},
-                   "diffusion.py": {"_finite", "_whole", "_rotator", "_image_shape"},
+PRIVATE_IMPORTS = {"activation.py": {"_check_border", "_choice", "_filtered"},
+                   "cli.py": {"_choice", "_encode_planes", "_image_shape", "_number", "_rotator",
+                              "_whole"},
+                   "diffusion.py": {"_choice", "_finite", "_whole", "_rotator", "_image_shape"},
                    "filter_design.py": {"_finite", "_number", "_whole"},
-                   "resample.py": {"_whole"},
-                   "rotation.py": {"_blend", "_check_finite", "_finite", "_linear_plan",
+                   "resample.py": {"_choice", "_whole"},
+                   "rotation.py": {"_blend", "_check_finite", "_choice", "_finite", "_linear_plan",
                                    "_image_shape"},
                    "special_functions.py": {"_finite"},
-                   "spectral.py": {"_check_act", "_finite", "_number", "_rotator", "_whole"}}
+                   "spectral.py": {"_choice", "_finite", "_number", "_rotator", "_whole"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -149,11 +151,47 @@ def test_the_text_number_rule_is_written_once():
 
 def test_the_tap_sum_is_written_once():
     """convolve2d and both alias-free resamplers run one engine, _filtered,
-    whose one loop sums the kernel taps; nothing else checks the padding."""
+    whose one loop sums the kernel taps and whose one border rule,
+    _check_border, checks the padding."""
     source = (PACKAGE / "resample.py").read_text()
     assert source.count("kernel.taps[") == 1
     names = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
     assert "_filtered" in names and "_check_padding" not in names
+
+
+def _calls(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def test_the_option_rule_is_written_once():
+    """Every named option (activation, padding, fill, sigma_mode, pipeline and
+    denoiser kind) goes through rng._choice, the one place that lists the
+    known names in its message."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sum(text.count("expected one of") for text in sources.values()) == 1
+    choice = next(node for node in ast.parse(sources["rng.py"]).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_choice")
+    assert "expected one of" in ast.get_source_segment(sources["rng.py"], choice)
+    callers = {name for name, text in sources.items() if _calls(ast.parse(text), "_choice")}
+    assert callers == {"activation.py", "cli.py", "diffusion.py", "resample.py",
+                       "rotation.py", "spectral.py"}
+
+
+def test_the_reflect_limit_is_written_once():
+    """resample._check_border is the one place that compares a kernel with
+    min(H, W); _filtered calls it per call and wrapped_activation once for
+    the whole image, before its bands."""
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    mins = [(name, node) for name, tree in trees.items() for node in _calls(tree, "min")
+            if [getattr(arg, "id", None) for arg in node.args] == ["H", "W"]]
+    border = next(node for node in trees["resample.py"].body
+                  if getattr(node, "name", None) == "_check_border")
+    assert [name for name, _ in mins] == ["resample.py"]
+    assert mins[0][1] in set(ast.walk(border))
+    for module, name in (("resample.py", "_filtered"), ("activation.py", "wrapped_activation")):
+        scope = next(node for node in trees[module].body if getattr(node, "name", None) == name)
+        assert len(_calls(scope, "_check_border")) == 1, name
 
 
 def test_only_spectral_turns_a_pipeline_kind_into_operators():

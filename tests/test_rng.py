@@ -5,10 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from aliasfree import (ConstantDenoiser, FilterSpec, GaussianDataSpec, ZeroDenoiser,
-                       band_limited_corpus, design_kernel, jinc, kaiser_weight,
-                       linear_schedule, rotate, sample_rotated, training_loss)
+from aliasfree import (ACTIVATIONS, FILL_MODES, PADDING_MODES, PIPELINE_KINDS, SIGMA_MODES,
+                       ConstantDenoiser, FilterSpec, GaussianDataSpec, PipelineConfig,
+                       ZeroDenoiser, apply_pointwise, band_limited_corpus, convolve2d,
+                       design_kernel, downsample2x_af, jinc, kaiser_weight, linear_schedule,
+                       pipeline_stages, rotate, sample_rotated, training_loss, upsample2x_af,
+                       wrapped_activation)
 from aliasfree import rng as rng_module
+from aliasfree.cli import parse_denoiser_spec
 from aliasfree.rng import Rng
 
 
@@ -278,3 +282,50 @@ def test_number_arguments_refuse_text_and_overflow_and_keep_their_bytes(name, ca
     assert rng._count == 0
     for form in (good, float(good), np.int64(good), np.float64(good), np.array(good)):
         assert _digest(call(form, Rng(0))) == pin, form
+
+
+_K3 = design_kernel(FilterSpec(1.0, True))
+_D = PipelineConfig("D", FilterSpec(1.0, True))
+_DENOISER_KINDS = ("zero", "constant", "gaussian")
+
+# Each named option: the words its message names, the options it lists, and
+# a call of (value, rng) that takes it.
+_OPTIONS = {
+    "apply_pointwise act": ("activation", ACTIVATIONS,
+                            lambda v, rng: apply_pointwise(_IMAGE, v)),
+    "wrapped_activation act": ("activation", ACTIVATIONS,
+                               lambda v, rng: wrapped_activation(_IMAGE, v, _K3)),
+    "pipeline_stages act": ("activation", ACTIVATIONS, lambda v, rng: pipeline_stages(_D, v)),
+    "convolve2d padding": ("padding mode", PADDING_MODES,
+                           lambda v, rng: convolve2d(_IMAGE, _K3, v)),
+    "downsample2x_af padding": ("padding mode", PADDING_MODES,
+                                lambda v, rng: downsample2x_af(_IMAGE, _K3, v)),
+    "upsample2x_af padding": ("padding mode", PADDING_MODES,
+                              lambda v, rng: upsample2x_af(_IMAGE, _K3, v)),
+    "wrapped_activation padding": ("padding mode", PADDING_MODES,
+                                   lambda v, rng: wrapped_activation(_IMAGE, "relu", _K3, v)),
+    "pipeline_stages padding": ("padding mode", PADDING_MODES,
+                                lambda v, rng: pipeline_stages(_D, "relu", v)),
+    "rotate fill": ("fill mode", FILL_MODES, lambda v, rng: rotate(_IMAGE, 0.3, v)),
+    "sample_rotated fill": ("fill mode", FILL_MODES, lambda v, rng: sample_rotated(
+        ZeroDenoiser(), linear_schedule(3), (1, 4, 4), 0.1, rng, v)),
+    "linear_schedule sigma_mode": ("sigma_mode", SIGMA_MODES,
+                                   lambda v, rng: linear_schedule(5, sigma_mode=v)),
+    "PipelineConfig kind": ("pipeline kind", PIPELINE_KINDS, lambda v, rng: PipelineConfig(v)),
+    "parse_denoiser_spec kind": ("denoiser kind", _DENOISER_KINDS,
+                                 lambda v, rng: parse_denoiser_spec(v)),
+}
+
+
+@pytest.mark.parametrize("listed", (False, True), ids=("text", "list"))
+@pytest.mark.parametrize("what, options, call", _OPTIONS.values(), ids=_OPTIONS)
+def test_named_options_share_one_rule(what, options, call, listed):
+    """An unknown name, or a list holding a known one, raises rng._choice's
+    ValueError naming the option and listing the known ones, before any draw."""
+    bad = [options[0]] if listed else "tanh"
+    shown = ".+" if listed else re.escape(repr(bad))  # the denoiser parser reads str(list)
+    rng = Rng(0)
+    with pytest.raises(ValueError, match=f"^unknown {what} {shown}, "
+                                         f"expected one of {re.escape(str(options))}$"):
+        call(bad, rng)
+    assert rng._count == 0

@@ -266,7 +266,8 @@ def test_config_name_validation():
         parse_config_name("A-1N")
     with pytest.raises(ValueError):
         parse_config_name("D-xN")
-    for name in ("A-1", "D-", "D-infN", "D-1_0N", "B-1_0"):
+    # float() reads "1_0", "\u0661" (Arabic-Indic one) and " 1" too; config_name writes none
+    for name in ("A-1", "D-", "D-infN", "D-1_0N", "B-1_0", "D-\u0661N", "D- 1N", "D-1 N"):
         with pytest.raises(ValueError):
             parse_config_name(name)
     with pytest.raises(ValueError):
