@@ -8,14 +8,18 @@ alias-free downsample, giving the created harmonics headroom before the
 low-pass filter removes them. The wrapped form checks its option, image
 and border once, up front. An image of more than 2^14 elements is then
 wrapped one band of output rows at a time, each band with the input rows
-its filters reach, so the doubled grid is never held whole; the bytes
-are those of the whole image.
+its filters reach (`resample._slabs`), so the doubled grid is never held
+whole; the bytes are those of the whole image. `wrapped_activation`
+gathers the bands into one float output; the CLI's `activate` runs the
+same band form (`_wrapped_bands`, or `_pointwise_bands` unwrapped) and
+writes each band into its output payload.
 
 `gelu` takes its erf for |x| < 1.25 from a numpy port of glibc's fdlibm
 erf (`sysdeps/ieee754/dbl-64/s_erf.c`, Sun 1993), with its coefficients
-and term order, over blocks of 2^14 elements so every temporary stays in
-cache; a block with |x| < 0.84375 throughout, as raster data gives, stops
-after the first branch. Past 1.25 each element takes `math.erf`, the C
+and term order, over blocks of 2^13 elements, so every temporary stays in
+cache and is reused from the heap rather than faulted in afresh; a block
+with |x| < 0.84375 throughout, as raster data gives, stops after the
+first branch. Past 1.25 each element takes `math.erf`, the C
 library's on Python >= 3.11, so on glibc the result is `math.erf` bitwise.
 On Python 3.10 it is CPython's, and whether it meets 1 ulp is unverified.
 """
@@ -25,15 +29,15 @@ import math
 import numpy as np
 
 from .filter_design import Kernel2D
-from .resample import _check_border, _filtered, check_image, downsample2x_af
+from .resample import (_assembled, _check_border, _filtered, _slabs, check_image,
+                       downsample2x_af)
 from .rng import _choice
 
 ACTIVATIONS = ("relu", "gelu")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_BLOCK = 1 << 14  # gelu elements per block
-_BAND = 1 << 14  # wrapped output elements per band of rows, across channels
-_HALO = 16  # least rows a band per unit of kernel radius: the halo adds at most 1/8
+_BLOCK = 1 << 13  # gelu elements per block
+_BAND = 1 << 14  # output elements per band of rows of the activate paths, across channels
 _LEAST = np.finfo(float).min
 
 # fdlibm's erf coefficients. Each polynomial is c0 + s*c1 + s^2*(c2 + s*c3) + ...
@@ -124,7 +128,7 @@ def _gelu_into(flat: np.ndarray, out: np.ndarray) -> np.ndarray:
 def gelu(values) -> np.ndarray:
     """Exact Gaussian-CDF form: v * Phi(v) = v * 0.5 * (1 + erf(v / sqrt 2)).
 
-    erf is `_erf`, over the flattened input in blocks of 2^14 elements: a
+    erf is `_erf`, over the flattened input in blocks of 2^13 elements: a
     port of glibc's `s_erf.c` for |x| < 1.25 and `math.erf` past it. On
     glibc every output equals the same formula with `math.erf` bitwise;
     elsewhere the ported part is within 1 ulp of the true erf and the rest
@@ -141,6 +145,12 @@ def apply_pointwise(img, act: str) -> np.ndarray:
     return relu(arr) if _choice(act, ACTIVATIONS, "activation") == "relu" else gelu(arr)
 
 
+def _pointwise_bands(img, act: str):
+    """The band form (`resample._slabs`) of apply_pointwise."""
+    arr = check_image(img)
+    return _slabs(relu if _choice(act, ACTIVATIONS, "activation") == "relu" else gelu, arr, _BAND)
+
+
 def _wrapped(arr: np.ndarray, act: str, kernel: Kernel2D, padding: str) -> np.ndarray:
     """Up, act in place, down: a whole image or one band's rows. The up step takes
     `arr` as checked; the down step's check of the doubled grid rejects an overflow."""
@@ -151,6 +161,15 @@ def _wrapped(arr: np.ndarray, act: str, kernel: Kernel2D, padding: str) -> np.nd
     else:
         _gelu_into(flat, flat)
     return downsample2x_af(up, kernel, padding)
+
+
+def _wrapped_bands(img, act: str, kernel: Kernel2D, padding: str = "reflect"):
+    """The band form of wrapped_activation: `act`, the image and its border rule at
+    up = 2 checked once, then bands of output rows as `resample._slabs` runs them."""
+    _choice(act, ACTIVATIONS, "activation")
+    arr = check_image(img)
+    _check_border(arr, kernel, padding, up=2)
+    return _slabs(lambda slab: _wrapped(slab, act, kernel, padding), arr, _BAND, kernel.radius)
 
 
 def wrapped_activation(img, act: str, kernel: Kernel2D,
@@ -171,15 +190,4 @@ def wrapped_activation(img, act: str, kernel: Kernel2D,
     work. A slab has all W columns and at least min(H, r + 1) rows, so it
     passes the reflect limit whenever the whole image does: no band fails.
     """
-    _choice(act, ACTIVATIONS, "activation")
-    arr = check_image(img)
-    _check_border(arr, kernel, padding, up=2)
-    (C, H, W), r = arr.shape, kernel.radius
-    rows = max(1, _BAND // (C * W), _HALO * r)
-    if rows >= H:  # one band: its result is the output, not copied into one
-        return _wrapped(arr, act, kernel, padding)
-    out = np.empty((C, H, W))
-    for n0 in range(0, H, rows):
-        n1, s0 = min(n0 + rows, H), max(n0 - r, 0)
-        out[:, n0:n1] = _wrapped(arr[:, s0:n1 + r], act, kernel, padding)[:, n0 - s0:n1 - s0]
-    return out
+    return _assembled(*_wrapped_bands(img, act, kernel, padding))

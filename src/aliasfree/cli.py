@@ -9,16 +9,19 @@ corpus. Angles are finite; a nonzero sample --phi needs --config rotated.
 Exit status is 0 on success, 2 when argparse rejects the command line
 (--seed on any other subcommand, a non-finite angle, a non-finite or
 repeated --denoiser argument, a number with an underscore such as --T 1_0,
-in non-ASCII digits or with surrounding whitespace),
+in non-ASCII digits or with surrounding whitespace, a --denoiser name with
+surrounding whitespace),
 and 1 when a command rejects a value or an input while running (--T 0, a
 2-channel sample shape, classical sampling with --phi 1, an unreadable file).
 A filter design_kernel rejects (--beta 800) exits 1 before any input is read.
 main builds its parser once per process; band_limited_corpus keeps its most
 recent corpus, read-only and one at a time, and hands each analyze a copy.
-resample, activate and rotate run their operator on one channel plane of
-the input at a time and encode each output plane before making the next, so
-a P6 command holds one float output plane, not three; every operator treats
-each channel alone, so the bytes are those of the whole-image call.
+resample, activate and rotate decode one channel plane of the input at a
+time and run their operator's band form on it: every check first, then one
+band of output rows at a time, each quantized in place straight into the
+output payload, one bytearray with the header. So a command holds one input
+plane of floats and one band, never a float output plane; every operator
+treats each channel alone, so the bytes are those of the whole-image call.
 
 Examples:
 
@@ -49,7 +52,7 @@ from .diffusion import (AnalyticGaussianDenoiser, ConstantDenoiser,
                         GaussianDataSpec, ZeroDenoiser, linear_schedule,
                         sample_rotated, SIGMA_MODES)
 from .filter_design import HALF_PI, FilterSpec, design_kernel, kernel_to_text
-from .image_io import _encode_planes, raster_format, read_raster, write_raster
+from .image_io import _encoded, _pixels, byte_to_float, raster_format, write_raster
 from .resample import PADDING_MODES, _image_shape
 from .rng import Rng, _choice, _number, _whole
 from .rotation import FILL_MODES, _rotator
@@ -102,7 +105,7 @@ def parse_denoiser_spec(text: str):
             key, sep, value = item.partition("=")
             if not sep or not key:
                 raise ValueError(f"bad denoiser argument {item!r}")
-            number, key = _float(value), key.strip()
+            number = _float(value)
             if not math.isfinite(number):
                 raise ValueError(f"denoiser argument {item!r} is not finite")
             if key in args:
@@ -115,9 +118,9 @@ def parse_denoiser_spec(text: str):
     return kind, args
 
 
-def _read_image(path: str) -> np.ndarray:
+def _read_pixels(path: str) -> np.ndarray:
     with open(path, "rb") as handle:
-        return read_raster(handle.read())
+        return _pixels(handle.read())
 
 
 def _csv(rows) -> bytes:
@@ -144,29 +147,35 @@ def cmd_freq(args) -> dict:
     return {args.out: _csv([("k1", "k2", "magnitude"), *rows])}
 
 
-def _planewise(op, img) -> bytes:
-    """The raster of op(img), with op run on one 1 x H x W channel plane at a time
-    and each output plane encoded before the next is made: every raster operator
-    treats each channel alone, so the bytes are those of write_raster(op(img))."""
-    return _encode_planes(map(op, img[:, None]), len(img))
+def _raster(pixels: np.ndarray, bands) -> bytearray:
+    """The raster of an operator's output on the H x W x C bytes `pixels`, from its band
+    form `bands`: each channel plane is decoded, checked and run in turn, and its bands
+    of rows are encoded straight into the payload before the next plane is decoded.
+    Every operator treats each channel alone, so the bytes are those of
+    write_raster(op(read_raster(file)))."""
+    channels = pixels.shape[2]
+    return _encoded(channels, (bands(byte_to_float(pixels[None, :, :, c]))
+                               for c in range(channels)))
 
 
 def cmd_resample(args) -> dict:
     config = PipelineConfig("B", _filter_spec(args)) if args.mode == "af" else PipelineConfig("A")
     down, _, up = pipeline_stages(config, padding=args.padding)
-    return {args.out: _planewise(down if args.dir == "down" else up, _read_image(args.input))}
+    stage = down if args.dir == "down" else up
+    return {args.out: _raster(_read_pixels(args.input), stage.bands)}
 
 
 def cmd_activate(args) -> dict:
     config = PipelineConfig("C", _filter_spec(args)) if args.wrapped else PipelineConfig("A")
     _, act, _ = pipeline_stages(config, args.act, args.padding)
-    return {args.out: _planewise(act, _read_image(args.input))}
+    return {args.out: _raster(_read_pixels(args.input), act.bands)}
 
 
 def cmd_rotate(args) -> dict:
-    img = _read_image(args.input)
-    # one gather plan for every plane: it depends only on the shape, phi and fill
-    return {args.out: _planewise(_rotator(img.shape, args.phi, args.fill), img)}
+    pixels = _read_pixels(args.input)
+    H, W, C = pixels.shape
+    # one turn for every plane: its checks and plans depend only on the shape, phi and fill
+    return {args.out: _raster(pixels, _rotator((C, H, W), args.phi, args.fill).bands)}
 
 
 def cmd_sample(args) -> dict:

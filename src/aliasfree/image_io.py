@@ -5,14 +5,17 @@ v / 127.5 - 1, so 0 -> -1.0, 255 -> +1.0, and 128 -> exactly 0 on the
 way back in. Encoding clamps to [-1, 1] and rounds half up, so a float
 0.0 lands on byte 128. Tensors are C x H x W with C = 1 for P5 and
 C = 3 for P6; P6 payloads interleave RGB per pixel. Each direction works
-in place in the one float buffer it makes, never in the caller's array;
-encoding takes the image one channel plane at a time, so that buffer is
-one plane.
+in place in the one float buffer it makes, never in the caller's array.
+The one encoder takes the image one channel plane at a time, and each
+plane as bands of rows: it quantizes each band in place and casts it
+straight into a preallocated payload, one bytearray with the header.
+`write_raster` hands it one copied plane at a time; the CLI hands it its
+operators' bands, so only one band of output floats is held at a time.
 """
 
 import numpy as np
 
-from .resample import check_image
+from .resample import _check_finite, check_image
 
 # the one raster-format table: channel count -> (magic, file extension)
 _FORMATS = {1: ("P5", "pgm"), 3: ("P6", "ppm")}
@@ -36,10 +39,10 @@ def byte_to_float(values) -> np.ndarray:
     return v[()]  # a 0-d input gets a scalar back
 
 
-def _quantized(values) -> np.ndarray:
-    """The one encode rule, floor((clip(v, -1, 1) + 1) * 127.5 + 0.5), as floats."""
-    v = np.asarray(values, dtype=float)
-    v = np.clip(v, -1.0, 1.0, out=np.empty(v.shape))
+def _quantized(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one encode rule, floor((clip(v, -1, 1) + 1) * 127.5 + 0.5), as floats
+    written into `out`, which may be `values` itself."""
+    v = np.clip(values, -1.0, 1.0, out=out)
     v += 1.0
     v *= 127.5
     v += 0.5
@@ -48,7 +51,8 @@ def _quantized(values) -> np.ndarray:
 
 def float_to_byte(values) -> np.ndarray:
     """Clamp to [-1, 1] and quantize, rounding halves up."""
-    return _quantized(values).astype(np.uint8)[()]  # a 0-d input gets a scalar back
+    v = np.asarray(values, dtype=float)
+    return _quantized(v, np.empty(v.shape)).astype(np.uint8)[()]  # 0-d in, scalar out
 
 
 def _parse_int(data: bytes, pos: int, what: str):
@@ -64,8 +68,9 @@ def _parse_int(data: bytes, pos: int, what: str):
     return int(data[start:pos]), pos, start
 
 
-def read_raster(data: bytes) -> np.ndarray:
-    """Decode P5/P6 bytes into a float C x H x W tensor on [-1, 1]."""
+def _pixels(data) -> np.ndarray:
+    """The H x W x C byte samples of P5/P6 bytes, a view of them, once the header
+    and the payload's length are checked."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError(f"expected bytes, got {type(data).__name__}")
     data = bytes(data)
@@ -93,8 +98,12 @@ def read_raster(data: bytes) -> np.ndarray:
         raise RasterParseError(
             f"payload holds {len(data) - pos} bytes, needs {needed}", len(data))
     raw = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos)
-    pixels = raw.reshape(height, width, channels)
-    return byte_to_float(np.moveaxis(pixels, 2, 0))
+    return raw.reshape(height, width, channels)
+
+
+def read_raster(data: bytes) -> np.ndarray:
+    """Decode P5/P6 bytes into a float C x H x W tensor on [-1, 1]."""
+    return byte_to_float(np.moveaxis(_pixels(data), 2, 0))
 
 
 def raster_format(channels) -> tuple:
@@ -107,24 +116,30 @@ def raster_format(channels) -> tuple:
     return _FORMATS[channels]
 
 
-def _byte_plane(plane) -> np.ndarray:
-    """A 1 x H x W float plane, checked as an image and quantized, as H x W bytes."""
-    return _quantized(check_image(plane))[0].astype(np.uint8)
-
-
-def _encode_planes(planes, channels: int) -> bytes:
-    """Encode a `channels`-channel raster from its planes, each a 1 x H x W float
-    tensor taken in turn from the iterable `planes`, into the interleaved payload.
-    map drops each float plane once it is quantized, before asking for the next
-    (a for loop's target would still hold it), so one float plane is alive at a time."""
+def _encoded(channels: int, planes) -> bytearray:
+    """The raster of a `channels`-channel image given one plane at a time: `planes`
+    yields each channel's band form in turn, its 1 x H x W shape and its bands
+    (n0, n1, rows), rows n0 to n1 of the plane as a float array the encoder may
+    overwrite. Each band is checked finite, quantized in place and cast straight
+    into the payload, one bytearray with the header: no float or byte plane is
+    held whole, and the payload is never copied."""
     magic, _ = raster_format(channels)
-    payload = np.stack(list(map(_byte_plane, planes)), axis=2)
-    H, W, _ = payload.shape
-    return f"{magic}\n{W} {H}\n255\n".encode("ascii") + payload.data
+    for c, ((_, H, W), bands) in enumerate(planes):
+        if not c:  # the first plane's shape sizes the payload
+            header = f"{magic}\n{W} {H}\n255\n".encode("ascii")
+            raster = bytearray(len(header) + channels * H * W)
+            raster[:len(header)] = header
+            pixels = np.frombuffer(raster, np.uint8, offset=len(header)).reshape(H, W, channels)
+        for n0, n1, rows in bands:
+            pixels[n0:n1, :, c] = _quantized(_check_finite(rows), rows)[0]
+    return raster
 
 
 def write_raster(img) -> bytes:
     """Encode a float tensor in the format `raster_format` picks from its
     channel count, one channel plane at a time."""
     arr = check_image(img)
-    return _encode_planes(arr[:, None], len(arr))
+    _, H, W = arr.shape
+    # each plane one band, copied so that encoding never writes the caller's array
+    planes = (((1, H, W), [(0, H, plane.copy())]) for plane in arr[:, None])
+    return bytes(_encoded(len(arr), planes))

@@ -22,7 +22,15 @@ taps that meet an input sample: (up, down) is (1, 1) for convolve2d,
 (1, 2) for downsampling and (2, 1) for upsampling. Bilinear doubling
 interpolates columns, then rows. The output bytes are those of filtering
 at full rate and of a two-dimensional gather.
+
+The raster commands run each operator through its band form, which checks
+the image as the operator does and then yields the output one band of rows
+at a time (`_slabs`): a filter or pooling runs on the input rows its band
+reads and keeps its own rows, and bilinear doubling slices its row plan.
+A band holds about 2^13 output elements; the bytes are the whole image's.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +38,8 @@ from .filter_design import Kernel2D
 from .rng import _choice, _whole
 
 PADDING_MODES = ("reflect", "zero")
+_BAND = 1 << 13  # output elements a band of a band form, across channels
+_HALO = 16  # least rows a band per unit of kernel radius: the halo adds at most 1/8
 
 
 def _image_shape(shape) -> tuple:
@@ -119,13 +129,16 @@ def upsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray
     return _filtered(check_image(img), kernel, padding, up=2)
 
 
-def downsample2x_naive(img) -> np.ndarray:
-    """2x2 max pooling: each block's running maximum in row-major order. np.maximum
-    keeps its later operand on a tie, so a +0/-0 tie keeps the sign numpy's reduce gives."""
-    arr = _require_even(check_image(img))
+def _max_pool(arr: np.ndarray) -> np.ndarray:
     out = np.maximum(arr[:, 0::2, 0::2], arr[:, 0::2, 1::2])
     np.maximum(out, arr[:, 1::2, 0::2], out=out)
     return np.maximum(out, arr[:, 1::2, 1::2], out=out)
+
+
+def downsample2x_naive(img) -> np.ndarray:
+    """2x2 max pooling: each block's running maximum in row-major order. np.maximum
+    keeps its later operand on a tie, so a +0/-0 tie keeps the sign numpy's reduce gives."""
+    return _max_pool(_require_even(check_image(img)))
 
 
 def _linear_plan(src, n: int):
@@ -146,20 +159,103 @@ def _blend(w0, x0, w1, x1) -> np.ndarray:
     return x0
 
 
+def _doubling(img):
+    """img checked for bilinear doubling, and the linear plans of its doubled rows and
+    columns: output index u samples input coordinate u * (n - 1) / (2n - 1)."""
+    arr = check_image(img)
+    _, H, W = arr.shape
+    if H < 2 or W < 2:
+        raise ValueError(f"bilinear doubling needs H, W >= 2, got {H} x {W}")
+    # integer numerators keep the endpoint coordinates exact after division
+    return arr, *(_linear_plan(np.arange(2 * n) * (n - 1) / (2 * n - 1), n) for n in (H, W))
+
+
+def _bilinear(arr, rows, cols) -> np.ndarray:
+    """Columns blended by the plan `cols` at arr's rows, then rows by `rows`: each
+    output is the same blend of the same four samples as a two-dimensional gather."""
+    (r0, r1, wr0, wr1), (c0, c1, wc0, wc1) = rows, cols
+    out = _blend(wc0, arr.take(c0, axis=2), wc1, arr.take(c1, axis=2))
+    return _blend(wr0[:, None], out.take(r0, axis=1), wr1[:, None], out.take(r1, axis=1))
+
+
 def upsample2x_naive(img) -> np.ndarray:
     """Align-corners bilinear doubling.
 
     Output index u samples input coordinate u * (H - 1) / (2H - 1), so the
     four image corners are reproduced exactly.
     """
-    arr = check_image(img)
+    return _bilinear(*_doubling(img))
+
+
+def _spans(n: int, rows: int) -> list:
+    """(n0, n1) of each band of `rows` rows over n rows; the last may be shorter."""
+    return [(n0, min(n0 + rows, n)) for n0 in range(0, n, rows)]
+
+
+def _slabs(op, arr: np.ndarray, band: int, r: int = 0, up: int = 1, down: int = 1):
+    """The band form of op on the checked image arr: op(arr)'s shape, and its bands
+    (n0, n1, rows n0 to n1 of op(arr)), each at most `band` elements but at least one
+    row and 16r rows.
+
+    op's output row n may read only input rows within r of n * down / up on its
+    interleaved grid, as a filter of radius r, a pooling (r = 0) or the wrapped
+    nonlinearity does. A band runs op on those rows alone, clipped to the image and
+    from a row `down` divides, and keeps its own rows, so the bytes are the whole
+    image's. A slab has all W columns and either every row or more than r / up of
+    them, so it passes every border rule the whole image passes. An image of one
+    band yields op(arr) itself."""
     C, H, W = arr.shape
-    if H < 2 or W < 2:
-        raise ValueError(f"bilinear doubling needs H, W >= 2, got {H} x {W}")
-    # integer numerators keep the endpoint coordinates exact after division
-    r0, r1, wr0, wr1 = _linear_plan(np.arange(2 * H) * (H - 1) / (2 * H - 1), H)
-    c0, c1, wc0, wc1 = _linear_plan(np.arange(2 * W) * (W - 1) / (2 * W - 1), W)
-    # columns at the H input rows, then rows: each output is the same blend
-    # of the same four samples as a two-dimensional bilinear gather
-    cols = _blend(wc0, arr.take(c0, axis=2), wc1, arr.take(c1, axis=2))
-    return _blend(wr0[:, None], cols.take(r0, axis=1), wr1[:, None], cols.take(r1, axis=1))
+    n, w, halo = H * up // down, W * up // down, -(-r // up)
+    rows = max(1, band // (C * w), _HALO * r)
+
+    def bands():
+        if rows >= n:  # one band: op's own result, not sliced
+            yield 0, n, op(arr)
+            return
+        for n0, n1 in _spans(n, rows):
+            s0 = max(n0 * down // up - halo, 0) // down * down
+            s1 = min(-(-n1 * down // up) + halo, H)
+            s1 += s1 % down  # H is a multiple of down, so an end below H may grow by one
+            lo = n0 - s0 * up // down
+            yield n0, n1, op(arr[:, s0:s1])[:, lo:lo + n1 - n0]
+    return (C, n, w), bands()
+
+
+def _assembled(shape, bands) -> np.ndarray:
+    """The output of a band form as one float array: an image of one band gets that
+    band's own array, not a copy of it."""
+    out = None
+    for n0, n1, rows in bands:
+        if n1 - n0 == shape[1]:
+            return rows
+        if out is None:
+            out = np.empty(shape)
+        out[:, n0:n1] = rows
+    return out
+
+
+def _af_bands(img, kernel: Kernel2D, padding: str = "reflect", up: int = 1, down: int = 1):
+    """The band form of downsample2x_af (down = 2) or upsample2x_af (up = 2)."""
+    arr = _require_even(check_image(img)) if down > 1 else check_image(img)
+    _check_border(arr, kernel, padding, up)
+    return _slabs(partial(_filtered, kernel=kernel, padding=padding, up=up, down=down),
+                  arr, _BAND, kernel.radius, up, down)
+
+
+def _max_pool_bands(img):
+    """The band form of downsample2x_naive."""
+    return _slabs(_max_pool, _require_even(check_image(img)), _BAND, down=2)
+
+
+def _bilinear_bands(img):
+    """The band form of upsample2x_naive: a band slices the row plan to its rows and
+    blends the columns of only the input rows that slice reads."""
+    arr, rows, cols = _doubling(img)
+    C, H, W = arr.shape
+
+    def bands():
+        for n0, n1 in _spans(2 * H, max(1, _BAND // (C * 2 * W))):
+            r0, r1, w0, w1 = (p[n0:n1] for p in rows)
+            lo = r0[0]  # both neighbours grow with the output row
+            yield n0, n1, _bilinear(arr[:, lo:r1[-1] + 1], (r0 - lo, r1 - lo, w0, w1), cols)
+    return (C, 2 * H, 2 * W), bands()

@@ -26,10 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .activation import ACTIVATIONS, apply_pointwise, wrapped_activation
+from .activation import (ACTIVATIONS, _pointwise_bands, _wrapped_bands, apply_pointwise,
+                         wrapped_activation)
 from .filter_design import HALF_PI, FilterSpec, Kernel2D, design_kernel
-from .resample import (PADDING_MODES, check_image, downsample2x_af, downsample2x_naive,
-                       upsample2x_af, upsample2x_naive)
+from .resample import (PADDING_MODES, _af_bands, _bilinear_bands, _max_pool_bands, check_image,
+                       downsample2x_af, downsample2x_naive, upsample2x_af, upsample2x_naive)
 from .rng import Rng, _choice, _finite, _number, _whole
 from .rotation import _rotator
 
@@ -161,7 +162,7 @@ def config_name(config: PipelineConfig) -> str:
 def parse_config_name(name: str) -> PipelineConfig:
     """Inverse of config_name for names like "A", "B-2", "D-1N" (default kernel
     size and cutoff); PipelineConfig and FilterSpec check the kind, filter and beta."""
-    kind, sep, tail = str(name).strip().partition("-")
+    kind, sep, tail = str(name).partition("-")
     if not sep:
         return PipelineConfig(kind)
     normalized = tail.endswith("N")
@@ -172,17 +173,29 @@ def parse_config_name(name: str) -> PipelineConfig:
     return PipelineConfig(kind, FilterSpec(kaiser_beta=beta, normalized=normalized))
 
 
+def _stage(op, bands, **kwargs):
+    """op with `kwargs` bound, a function of one image, whose `bands` is its band form
+    (`resample._slabs`) with the same arguments: the raster commands run that."""
+    stage = partial(op, **kwargs)
+    stage.bands = partial(bands, **kwargs)
+    return stage
+
+
 def pipeline_stages(config: PipelineConfig, act: str = "relu", padding: str = "reflect"):
     """(down, act, up) of a pipeline, each a function of one C x H x W image.
-    `act` and `padding` (its filters' border rule) are checked here, for every kind."""
+    `act` and `padding` (its filters' border rule) are checked here, for every kind.
+    Each stage's `bands` checks an image as the stage does and yields the stage's
+    output in bands of rows, with the bytes of the stage."""
     _choice(act, ACTIVATIONS, "activation")
     _choice(padding, PADDING_MODES, "padding mode")
     af, wrapped = _KINDS[config.kind]
     filtered = {"kernel": config.kernel, "padding": padding}
-    down = partial(downsample2x_af, **filtered) if af else downsample2x_naive
-    up = partial(upsample2x_af, **filtered) if af else upsample2x_naive
-    nonlinearity = (partial(wrapped_activation, act=act, **filtered) if wrapped
-                    else partial(apply_pointwise, act=act))
+    down = (_stage(downsample2x_af, partial(_af_bands, down=2), **filtered) if af
+            else _stage(downsample2x_naive, _max_pool_bands))
+    up = (_stage(upsample2x_af, partial(_af_bands, up=2), **filtered) if af
+          else _stage(upsample2x_naive, _bilinear_bands))
+    nonlinearity = (_stage(wrapped_activation, _wrapped_bands, act=act, **filtered) if wrapped
+                    else _stage(apply_pointwise, _pointwise_bands, act=act))
     return down, nonlinearity, up
 
 

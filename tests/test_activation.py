@@ -177,7 +177,8 @@ def test_erf_patches_a_lone_outer_element_of_a_raster_block(edge):
 
 
 @glibc_only
-@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK,
+                                  2 * _BLOCK + 1, 4 * _BLOCK + 7])
 @pytest.mark.parametrize("scale", [0.5, 3.0])
 def test_gelu_bytes_across_block_boundaries(size, scale):
     v = Rng(size).normal(size) * scale if size else np.zeros(0)

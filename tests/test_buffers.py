@@ -3,11 +3,12 @@
 Encoding quantizes its one clamped copy in place, the wrapped
 nonlinearity runs in place on its own upsampled array, the bilinear
 blends multiply and add into the arrays their gathers return, and the
-raster commands hold one channel plane of floats at a time. These tests
-hold that to three things: a caller's array is never written, the traced
-peak stays at the buffers the path needs, and the bytes are those of the
-out-of-place formulas, of the oracles, and of pins recorded before the
-buffers were reused.
+raster commands hold one input plane of floats and one band of output
+rows at a time, which they quantize in place into the payload. These
+tests hold that to three things: a caller's array is never written, the
+traced peak stays at the buffers the path needs, and the bytes are those
+of the out-of-place formulas, of the whole-image calls, of the oracles,
+and of pins recorded before the buffers were reused.
 """
 
 import hashlib
@@ -18,8 +19,9 @@ import numpy as np
 import pytest
 
 from aliasfree import (FilterSpec, activation, apply_pointwise, byte_to_float, design_kernel,
-                       downsample2x_af, downsample2x_naive, float_to_byte, gelu, relu, resample,
-                       rotate, upsample2x_af, upsample2x_naive, wrapped_activation, write_raster)
+                       downsample2x_af, downsample2x_naive, float_to_byte, gelu, image_io,
+                       read_raster, relu, resample, rotate, rotation, upsample2x_af,
+                       upsample2x_naive, wrapped_activation, write_raster)
 
 from aliasfree.cli import main
 
@@ -84,20 +86,123 @@ def test_peak_of_the_max_pool_is_below_its_input():
     assert traced_peak(downsample2x_naive, x) < 1.0 * x.nbytes
 
 
+def _raster_file(path, shape, seed=9):
+    """Write a P5 (C = 1) or P6 (C = 3) file of random C x H x W samples to path."""
+    C, H, W = shape
+    pixels = np.random.default_rng(seed).integers(0, 256, (H, W, C), dtype=np.uint8)
+    path.write_bytes(f"{'P5' if C == 1 else 'P6'}\n{W} {H}\n255\n".encode("ascii")
+                     + pixels.tobytes())
+    return path
+
+
+FILTER_FLAGS = ["--beta", "1", "--normalized"]
+
+
 @pytest.mark.parametrize("argv", (["resample", "--mode", "naive", "--dir", "up"],
-                                  ["activate", "--act", "relu", "--wrapped"]),
-                         ids=("naive-up", "wrapped-relu"))
+                                  ["activate", "--act", "relu", "--wrapped"],
+                                  ["resample", "--mode", "af", "--dir", "up"],
+                                  ["resample", "--mode", "af", "--dir", "down"],
+                                  ["activate", "--act", "gelu"],
+                                  ["rotate", "--phi", "0.3"]),
+                         ids=("naive-up", "wrapped-relu", "af-up", "af-down", "gelu", "rotate"))
 def test_a_ppm_command_holds_one_channel_plane_of_floats(tmp_path, argv):
-    # reading, operating and encoding a 3 x 128 x 128 file one plane at a time:
-    # about 4.6x-4.9x the input's float bytes; a for loop over the planes, whose
-    # target holds the last float plane while the next is made, reads 5.0x-6.6x,
-    # and the whole image at once took 11.2x
-    x = np.random.default_rng(3).uniform(-1.2, 1.2, (3, 128, 128))
-    src, out = tmp_path / "in.ppm", tmp_path / "out.ppm"
-    src.write_bytes(write_raster(x))
-    command = [*argv, "--in", str(src), "--out", str(out)]
+    # a 3 x 256 x 256 file read, one input plane decoded at a time and each band of
+    # output rows encoded into the payload: about 0.7x-1.6x the input's float bytes,
+    # where whole output planes took 1.6x-5.8x and the whole image at once 11.2x
+    src = _raster_file(tmp_path / "in.ppm", (3, 256, 256))
+    flags = [] if argv[0] == "rotate" else FILTER_FLAGS
+    command = [*argv, *flags, "--in", str(src), "--out", str(tmp_path / "out.ppm")]
     assert main(command) == 0  # the parser is built outside the traced call
-    assert traced_peak(main, command) < 5.5 * x.nbytes
+    assert traced_peak(main, command) < 2.0 * 3 * 256 * 256 * 8
+
+
+# each raster command, the whole-image call whose raster its bytes must be, given the
+# kernel and the padding (the fill for rotate), and its output rows per input row
+RASTER_COMMANDS = {
+    "af down": (["resample", "--mode", "af", "--dir", "down"],
+                lambda img, kernel, padding: downsample2x_af(img, kernel, padding), 0.5),
+    "af up": (["resample", "--mode", "af", "--dir", "up"],
+              lambda img, kernel, padding: upsample2x_af(img, kernel, padding), 2),
+    "naive down": (["resample", "--mode", "naive", "--dir", "down"],
+                   lambda img, kernel, padding: downsample2x_naive(img), 0.5),
+    "naive up": (["resample", "--mode", "naive", "--dir", "up"],
+                 lambda img, kernel, padding: upsample2x_naive(img), 2),
+    "relu": (["activate", "--act", "relu"],
+             lambda img, kernel, padding: apply_pointwise(img, "relu"), 1),
+    "gelu": (["activate", "--act", "gelu"],
+             lambda img, kernel, padding: apply_pointwise(img, "gelu"), 1),
+    "wrapped relu": (["activate", "--act", "relu", "--wrapped"],
+                     lambda img, kernel, padding: wrapped_activation(img, "relu", kernel, padding),
+                     1),
+    "wrapped gelu": (["activate", "--act", "gelu", "--wrapped"],
+                     lambda img, kernel, padding: wrapped_activation(img, "gelu", kernel, padding),
+                     1),
+    "rotate": (["rotate", "--phi", repr(PHI)], lambda img, kernel, fill: rotate(img, PHI, fill), 1),
+}
+
+
+@pytest.mark.parametrize("name", RASTER_COMMANDS)
+def test_a_large_pgm_command_holds_one_input_plane_and_one_band(tmp_path, name):
+    # a 1 x 512 x 512 file: its bytes, the decoded input plane, the payload and one
+    # band's temporaries, about 1.3x-2.0x the input's float bytes, where a whole
+    # output plane took 1.5x (max pooling), 9.5x (af up), 11.1x (naive up) and
+    # 15.3x (rotate, whose gather plan was 8 arrays a pixel)
+    argv, _, _ = RASTER_COMMANDS[name]
+    src = _raster_file(tmp_path / "in.pgm", (1, 512, 512))
+    flags = [] if argv[0] == "rotate" else FILTER_FLAGS
+    command = [*argv, *flags, "--in", str(src), "--out", str(tmp_path / "out.pgm")]
+    assert main(command) == 0
+    assert traced_peak(main, command) < 2.5 * 512 * 512 * 8
+
+
+def _spy_encoded_bands(monkeypatch):
+    """Record the rows of each band a raster command encodes into its payload."""
+    bands, quantized = [], image_io._quantized
+    monkeypatch.setattr(image_io, "_quantized", lambda values, out: (
+        bands.append(values.shape[1]) or quantized(values, out)))
+    return bands
+
+
+@pytest.mark.parametrize("channels", (1, 3), ids=("P5", "P6"))
+@pytest.mark.parametrize("name", RASTER_COMMANDS)
+def test_raster_command_bands_give_the_whole_images_bytes(tmp_path, monkeypatch, name, channels):
+    argv, call, scale = RASTER_COMMANDS[name]
+    if argv[0] == "rotate":
+        variants = [(None, ["--fill", fill], fill) for fill in ("replicate", "zero")]
+    elif "af" in argv or "--wrapped" in argv:
+        variants = [(design_kernel(FilterSpec(1.0, True, kernel_size=size)),
+                     [*FILTER_FLAGS, "--size", str(size), "--padding", padding], padding)
+                    for size in (1, 3, 9) for padding in ("reflect", "zero")]
+    else:
+        variants = [(None, [], None)]
+    out = tmp_path / "out.img"
+    # 12 x 10 runs in many bands; 2 x 6 is smaller than a 9 x 9 kernel's halo, and
+    # reflect padding rejects it for a 9 x 9 downsample
+    for shape in ((channels, 12, 10), (channels, 2, 6)):
+        src = _raster_file(tmp_path / "in.img", shape)
+        img = read_raster(src.read_bytes())
+        n, w = int(shape[1] * scale), int(shape[2] * scale)
+        for kernel, flags, option in variants:
+            try:
+                want = write_raster(call(img, kernel, option))
+            except ValueError as exc:
+                want = exc
+            # bands of one row, of 5 rows (which divide no output height here), of
+            # all rows but one, and of every row
+            for rows in sorted({1, 5, n - 1, n} & set(range(1, n + 1))):
+                with monkeypatch.context() as patch:
+                    patch.setattr(resample, "_HALO", 0)  # bands of any height
+                    for module in (resample, rotation, activation):
+                        patch.setattr(module, "_BAND", rows * w)
+                    bands = _spy_encoded_bands(patch)
+                    code = main([*argv, *flags, "--in", str(src), "--out", str(out)])
+                if isinstance(want, ValueError):
+                    # the whole image's check, before any band: no band, no file
+                    assert (code, bands, out.exists()) == (1, [], False)
+                    continue
+                assert code == 0 and out.read_bytes() == want, (shape, flags, rows)
+                assert bands == channels * [min(rows, n - n0) for n0 in range(0, n, rows)]
+                out.unlink()
 
 
 @pytest.mark.parametrize("whole", (True, False), ids=("whole", "banded"))
@@ -189,7 +294,7 @@ def _spy_bands(monkeypatch):
 def test_banded_wrapped_nonlinearity_equals_the_whole_image_bitwise(
         monkeypatch, kernel, noncontiguous):
     bands = _spy_bands(monkeypatch)
-    monkeypatch.setattr(activation, "_HALO", 0)  # bands of any height
+    monkeypatch.setattr(resample, "_HALO", 0)  # bands of any height
     # 3 x 12 x 10, and a 1 x 12 x 2 strip, whose reflect limit for upsampling is size 9
     for x in (edge_input(noncontiguous), edge_input(noncontiguous)[1:2, :, 3:5]):
         C, H, W = x.shape

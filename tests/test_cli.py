@@ -57,7 +57,10 @@ def test_parse_denoiser_spec():
     for bad in ("unknown", "constant", "gaussian:mu=0.3",
                 "constant:v=0.5,w=2", "gaussian:mu=x,sigma0=1", "zero:v=1",
                 "constant:v=nan", "gaussian:mu=inf,sigma0=1", "constant:v",
-                "constant:v=1_0", "constant:v=1,v=2", "gaussian:mu=1,mu=2,sigma0=1"):
+                "constant:v=1_0", "constant:v=1,v=2", "gaussian:mu=1,mu=2,sigma0=1",
+                # names, like numbers, take no surrounding whitespace
+                "constant: v =1", "constant:v =1", " constant:v=1", "zero\n",
+                "gaussian:mu=0.3, sigma0=0.05"):
         with pytest.raises(ValueError):
             parse_denoiser_spec(bad)
 
@@ -331,7 +334,7 @@ def _no_work(*args, **kwargs):
 ])
 def test_a_rejected_filter_exits_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv):
     src = make_input(tmp_path)
-    monkeypatch.setattr("aliasfree.cli.read_raster", _no_work)
+    monkeypatch.setattr("aliasfree.cli._pixels", _no_work)
     monkeypatch.setattr("aliasfree.cli.band_limited_corpus", _no_work)
     if argv[0] != "analyze":
         argv = argv + ["--in", str(src)]

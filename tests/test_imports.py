@@ -69,16 +69,20 @@ def test_every_private_helper_is_used(path):
 
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
-PRIVATE_IMPORTS = {"activation.py": {"_check_border", "_choice", "_filtered"},
-                   "cli.py": {"_choice", "_encode_planes", "_image_shape", "_number", "_rotator",
-                              "_whole"},
+PRIVATE_IMPORTS = {"activation.py": {"_assembled", "_check_border", "_choice", "_filtered",
+                                      "_slabs"},
+                   "cli.py": {"_choice", "_encoded", "_image_shape", "_number", "_pixels",
+                              "_rotator", "_whole"},
                    "diffusion.py": {"_choice", "_finite", "_whole", "_rotator", "_image_shape"},
                    "filter_design.py": {"_finite", "_number", "_whole"},
+                   "image_io.py": {"_check_finite"},
                    "resample.py": {"_choice", "_whole"},
-                   "rotation.py": {"_blend", "_check_finite", "_choice", "_finite", "_linear_plan",
-                                   "_image_shape"},
+                   "rotation.py": {"_BAND", "_assembled", "_blend", "_check_finite", "_choice",
+                                   "_finite", "_linear_plan", "_image_shape", "_spans"},
                    "special_functions.py": {"_finite"},
-                   "spectral.py": {"_choice", "_finite", "_number", "_rotator", "_whole"}}
+                   "spectral.py": {"_af_bands", "_bilinear_bands", "_choice", "_finite",
+                                   "_max_pool_bands", "_number", "_pointwise_bands", "_rotator",
+                                   "_whole", "_wrapped_bands"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -180,8 +184,9 @@ def test_the_option_rule_is_written_once():
 
 def test_the_reflect_limit_is_written_once():
     """resample._check_border is the one place that compares a kernel with
-    min(H, W); _filtered calls it per call and wrapped_activation once for
-    the whole image, before its bands."""
+    min(H, W); _filtered calls it per call, and the band forms of the
+    alias-free resamplers and of wrapped_activation once for the whole
+    image, before their bands."""
     trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     mins = [(name, node) for name, tree in trees.items() for node in _calls(tree, "min")
             if [getattr(arg, "id", None) for arg in node.args] == ["H", "W"]]
@@ -189,7 +194,8 @@ def test_the_reflect_limit_is_written_once():
                   if getattr(node, "name", None) == "_check_border")
     assert [name for name, _ in mins] == ["resample.py"]
     assert mins[0][1] in set(ast.walk(border))
-    for module, name in (("resample.py", "_filtered"), ("activation.py", "wrapped_activation")):
+    for module, name in (("resample.py", "_filtered"), ("resample.py", "_af_bands"),
+                         ("activation.py", "_wrapped_bands")):
         scope = next(node for node in trees[module].body if getattr(node, "name", None) == name)
         assert len(_calls(scope, "_check_border")) == 1, name
 

@@ -267,7 +267,9 @@ def test_config_name_validation():
     with pytest.raises(ValueError):
         parse_config_name("D-xN")
     # float() reads "1_0", "\u0661" (Arabic-Indic one) and " 1" too; config_name writes none
-    for name in ("A-1", "D-", "D-infN", "D-1_0N", "B-1_0", "D-\u0661N", "D- 1N", "D-1 N"):
+    # names, like the numbers in them, take no surrounding whitespace
+    for name in ("A-1", "D-", "D-infN", "D-1_0N", "B-1_0", "D-\u0661N", "D- 1N", "D-1 N",
+                 "  D-1N\n", " A", "A\n", "B-2 "):
         with pytest.raises(ValueError):
             parse_config_name(name)
     with pytest.raises(ValueError):
