@@ -37,7 +37,6 @@ ACTIVATIONS = ("relu", "gelu")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 13  # gelu elements per block
-_BAND = 1 << 14  # output elements per band of rows of the activate paths, across channels
 _LEAST = np.finfo(float).min
 
 # fdlibm's erf coefficients. Each polynomial is c0 + s*c1 + s^2*(c2 + s*c3) + ...
@@ -148,7 +147,7 @@ def apply_pointwise(img, act: str) -> np.ndarray:
 def _pointwise_bands(img, act: str):
     """The band form (`resample._slabs`) of apply_pointwise."""
     arr = check_image(img)
-    return _slabs(relu if _choice(act, ACTIVATIONS, "activation") == "relu" else gelu, arr, _BAND)
+    return _slabs(relu if _choice(act, ACTIVATIONS, "activation") == "relu" else gelu, arr)
 
 
 def _wrapped(arr: np.ndarray, act: str, kernel: Kernel2D, padding: str) -> np.ndarray:
@@ -169,7 +168,7 @@ def _wrapped_bands(img, act: str, kernel: Kernel2D, padding: str = "reflect"):
     _choice(act, ACTIVATIONS, "activation")
     arr = check_image(img)
     _check_border(arr, kernel, padding, up=2)
-    return _slabs(lambda slab: _wrapped(slab, act, kernel, padding), arr, _BAND, kernel.radius)
+    return _slabs(lambda slab: _wrapped(slab, act, kernel, padding), arr, kernel.radius)
 
 
 def wrapped_activation(img, act: str, kernel: Kernel2D,
@@ -181,9 +180,9 @@ def wrapped_activation(img, act: str, kernel: Kernel2D,
     rule at up = 2 are checked first, once, and the nonlinearity runs in
     place on the fresh upsampled array.
 
-    An image of more than 2^14 elements runs in bands of output rows, at
-    most 2^14 output elements each, but at least one row and at least 16r
-    rows for a kernel of radius r. Output row n reads only input rows
+    An image runs in bands of output rows as `resample._spans` sizes them:
+    about 2^14 output elements, but at least 16r rows for a kernel of radius
+    r, so a small image is one band. Output row n reads only input rows
     n - r ... n + r, so a band runs the three steps on its rows and r more
     on each side, clipped to the image, and keeps its own rows: the bytes
     are the whole image's, and the recomputed rows add at most 1/8 to the

@@ -18,10 +18,10 @@ main builds its parser once per process; band_limited_corpus keeps its most
 recent corpus, read-only and one at a time, and hands each analyze a copy.
 resample, activate and rotate decode one channel plane of the input at a
 time and run their operator's band form on it: every check first, then one
-band of output rows at a time, each quantized in place straight into the
-output payload, one bytearray with the header. So a command holds one input
-plane of floats and one band, never a float output plane; every operator
-treats each channel alone, so the bytes are those of the whole-image call.
+band of rows (about 2^14 output elements, `resample._spans`) at a time, each
+quantized in place straight into the payload, one bytearray with the header:
+a command holds one input plane of floats and one band, never an output plane.
+Every operator treats each channel alone, so the bytes are the whole image's.
 
 Examples:
 

@@ -132,6 +132,7 @@ def _encoded(channels: int, planes) -> bytearray:
             pixels = np.frombuffer(raster, np.uint8, offset=len(header)).reshape(H, W, channels)
         for n0, n1, rows in bands:
             pixels[n0:n1, :, c] = _quantized(_check_finite(rows), rows)[0]
+            del rows  # freed before the next band is made
     return raster
 
 

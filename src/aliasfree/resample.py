@@ -27,7 +27,8 @@ The raster commands run each operator through its band form, which checks
 the image as the operator does and then yields the output one band of rows
 at a time (`_slabs`): a filter or pooling runs on the input rows its band
 reads and keeps its own rows, and bilinear doubling slices its row plan.
-A band holds about 2^13 output elements; the bytes are the whole image's.
+Every band form in the package spans its rows by one rule and budget, `_spans`:
+about 2^14 output elements a band. The bytes are the whole image's.
 """
 
 from functools import partial
@@ -38,8 +39,8 @@ from .filter_design import Kernel2D
 from .rng import _choice, _whole
 
 PADDING_MODES = ("reflect", "zero")
-_BAND = 1 << 13  # output elements a band of a band form, across channels
-_HALO = 16  # least rows a band per unit of kernel radius: the halo adds at most 1/8
+_BAND = 1 << 14  # output elements a band of a band form, across channels
+_HALO = 16  # least rows a band per kernel radius: a full band's halo adds <= 1/8, 1/4 at up = 2
 
 
 def _image_shape(shape) -> tuple:
@@ -187,15 +188,18 @@ def upsample2x_naive(img) -> np.ndarray:
     return _bilinear(*_doubling(img))
 
 
-def _spans(n: int, rows: int) -> list:
-    """(n0, n1) of each band of `rows` rows over n rows; the last may be shorter."""
+def _spans(shape, r: int = 0) -> list:
+    """(n0, n1) of each band of rows of a C x n x w output: at most `_BAND` elements
+    across the channels, but at least one row and 16r rows; the last may be shorter."""
+    C, n, w = shape
+    rows = max(1, _BAND // (C * w), _HALO * r)
     return [(n0, min(n0 + rows, n)) for n0 in range(0, n, rows)]
 
 
-def _slabs(op, arr: np.ndarray, band: int, r: int = 0, up: int = 1, down: int = 1):
+def _slabs(op, arr: np.ndarray, r: int = 0, up: int = 1, down: int = 1):
     """The band form of op on the checked image arr: op(arr)'s shape, and its bands
-    (n0, n1, rows n0 to n1 of op(arr)), each at most `band` elements but at least one
-    row and 16r rows.
+    (n0, n1, rows n0 to n1 of op(arr)) as `_spans` gives them: a full band's halo adds at
+    most 1/8 to the input rows it reads, 1/4 at up = 2 (r = 1: 8 input rows, 2 halo rows).
 
     op's output row n may read only input rows within r of n * down / up on its
     interleaved grid, as a filter of radius r, a pooling (r = 0) or the wrapped
@@ -203,27 +207,22 @@ def _slabs(op, arr: np.ndarray, band: int, r: int = 0, up: int = 1, down: int = 
     from a row `down` divides, and keeps its own rows, so the bytes are the whole
     image's. A slab has all W columns and either every row or more than r / up of
     them, so it passes every border rule the whole image passes. An image of one
-    band yields op(arr) itself."""
+    band runs op on all its rows and yields a view of that result, not a copy."""
     C, H, W = arr.shape
-    n, w, halo = H * up // down, W * up // down, -(-r // up)
-    rows = max(1, band // (C * w), _HALO * r)
+    shape, halo = (C, H * up // down, W * up // down), -(-r // up)
 
     def bands():
-        if rows >= n:  # one band: op's own result, not sliced
-            yield 0, n, op(arr)
-            return
-        for n0, n1 in _spans(n, rows):
+        for n0, n1 in _spans(shape, r):
             s0 = max(n0 * down // up - halo, 0) // down * down
             s1 = min(-(-n1 * down // up) + halo, H)
             s1 += s1 % down  # H is a multiple of down, so an end below H may grow by one
             lo = n0 - s0 * up // down
             yield n0, n1, op(arr[:, s0:s1])[:, lo:lo + n1 - n0]
-    return (C, n, w), bands()
+    return shape, bands()
 
 
 def _assembled(shape, bands) -> np.ndarray:
-    """The output of a band form as one float array: an image of one band gets that
-    band's own array, not a copy of it."""
+    """The output of a band form as one float array; a lone band is returned uncopied."""
     out = None
     for n0, n1, rows in bands:
         if n1 - n0 == shape[1]:
@@ -231,6 +230,7 @@ def _assembled(shape, bands) -> np.ndarray:
         if out is None:
             out = np.empty(shape)
         out[:, n0:n1] = rows
+        del rows  # freed before the next band is made
     return out
 
 
@@ -239,23 +239,23 @@ def _af_bands(img, kernel: Kernel2D, padding: str = "reflect", up: int = 1, down
     arr = _require_even(check_image(img)) if down > 1 else check_image(img)
     _check_border(arr, kernel, padding, up)
     return _slabs(partial(_filtered, kernel=kernel, padding=padding, up=up, down=down),
-                  arr, _BAND, kernel.radius, up, down)
+                  arr, kernel.radius, up, down)
 
 
 def _max_pool_bands(img):
     """The band form of downsample2x_naive."""
-    return _slabs(_max_pool, _require_even(check_image(img)), _BAND, down=2)
+    return _slabs(_max_pool, _require_even(check_image(img)), down=2)
 
 
 def _bilinear_bands(img):
     """The band form of upsample2x_naive: a band slices the row plan to its rows and
     blends the columns of only the input rows that slice reads."""
     arr, rows, cols = _doubling(img)
-    C, H, W = arr.shape
+    shape = len(arr), len(rows[0]), len(cols[0])  # the plans span the doubled sides
 
     def bands():
-        for n0, n1 in _spans(2 * H, max(1, _BAND // (C * 2 * W))):
+        for n0, n1 in _spans(shape):
             r0, r1, w0, w1 = (p[n0:n1] for p in rows)
             lo = r0[0]  # both neighbours grow with the output row
             yield n0, n1, _bilinear(arr[:, lo:r1[-1] + 1], (r0 - lo, r1 - lo, w0, w1), cols)
-    return (C, 2 * H, 2 * W), bands()
+    return shape, bands()

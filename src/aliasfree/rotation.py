@@ -5,16 +5,15 @@ counterclockwise on screen, where row 0 is the top of the picture. The
 rotation center is the geometric center of the pixel grid,
 ((H - 1) / 2, (W - 1) / 2), which for even sizes falls between samples.
 A turn's gather plan holds four indices and four weights an output pixel,
-so a plane of more than one band of about 2^13 pixels builds it one band
-of rows at a time; the CLI's rotate writes each band into its payload.
+so a plane of more than one band (`resample._spans`) builds it one band of
+rows at a time; the CLI's rotate writes each band into its payload.
 """
 
 import math
 
 import numpy as np
 
-from .resample import (_BAND, _assembled, _blend, _check_finite, _image_shape, _linear_plan,
-                       _spans)
+from .resample import _assembled, _blend, _check_finite, _image_shape, _linear_plan, _spans
 from .rng import _choice, _finite
 
 FILL_MODES = ("replicate", "zero")
@@ -47,7 +46,7 @@ def _rotator(shape, phi, fill: str):
     turn(arr) checks arr's values and turns by phi every H x W plane of a stack
     whose last three axes are `shape`. Its gather plan (four flat indices and
     four weights an output pixel, and the zero-fill mask) is built for one band
-    of about 2^13 output pixels at a time, inside the turn; a plane of one band
+    of about 2^14 output pixels at a time, inside the turn; a plane of one band
     has its plan built here, once. turn.bands(arr) is the turn's band form, as
     `resample._slabs` gives one: the stack's shape and its bands of rows."""
     _, H, W = _image_shape(shape)
@@ -70,7 +69,7 @@ def _rotator(shape, phi, fill: str):
             inside = (src_r >= 0.0) & (src_r <= H - 1) & (src_c >= 0.0) & (src_c <= W - 1)
         return (r0 * W + c0, r0 * W + c1, r1 * W + c0, r1 * W + c1), (wr0, wr1, wc0, wc1), inside
 
-    spans = _spans(H, max(1, _BAND // W))
+    spans = _spans((1, H, W))  # one plane's plan, shared by every plane of a stack
     whole = plan(0, H) if len(spans) == 1 else None
 
     def bands(arr):

@@ -77,8 +77,8 @@ PRIVATE_IMPORTS = {"activation.py": {"_assembled", "_check_border", "_choice", "
                    "filter_design.py": {"_finite", "_number", "_whole"},
                    "image_io.py": {"_check_finite"},
                    "resample.py": {"_choice", "_whole"},
-                   "rotation.py": {"_BAND", "_assembled", "_blend", "_check_finite", "_choice",
-                                   "_finite", "_linear_plan", "_image_shape", "_spans"},
+                   "rotation.py": {"_assembled", "_blend", "_check_finite", "_choice", "_finite",
+                                   "_linear_plan", "_image_shape", "_spans"},
                    "special_functions.py": {"_finite"},
                    "spectral.py": {"_af_bands", "_bilinear_bands", "_choice", "_finite",
                                    "_max_pool_bands", "_number", "_pointwise_bands", "_rotator",
@@ -198,6 +198,32 @@ def test_the_reflect_limit_is_written_once():
                          ("activation.py", "_wrapped_bands")):
         scope = next(node for node in trees[module].body if getattr(node, "name", None) == name)
         assert len(_calls(scope, "_check_border")) == 1, name
+
+
+def test_the_band_budget_and_the_row_rule_are_written_once():
+    """resample._BAND, the one band budget, is assigned once and read only by
+    resample._spans, the one row rule: _slabs, _bilinear_bands and _rotator
+    take their bands from it, and activation and rotation never name _BAND.
+    _slabs takes no budget of its own and yields from one place, with no
+    branch for an image of one band."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    named = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_BAND"]
+    assert [name for name, node in named if isinstance(node.ctx, ast.Store)] == ["resample.py"]
+    spans = next(node for node in trees["resample.py"].body
+                 if getattr(node, "name", None) == "_spans")
+    reads = [node for _, node in named if isinstance(node.ctx, ast.Load)]
+    assert reads and set(reads) <= set(ast.walk(spans))
+    assert sum(text.count("_BAND //") for text in sources.values()) == 1
+    assert "_BAND" not in sources["activation.py"] + sources["rotation.py"]
+    callers = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and _calls(node, "_spans")}
+    assert callers == {"_slabs", "_bilinear_bands", "_rotator"}
+    slabs = next(node for node in trees["resample.py"].body
+                 if getattr(node, "name", None) == "_slabs")
+    assert "band" not in [arg.arg for arg in slabs.args.args]
+    assert len([node for node in ast.walk(slabs) if isinstance(node, ast.Yield)]) == 1
 
 
 def test_only_spectral_turns_a_pipeline_kind_into_operators():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aliasfree import FILL_MODES, band_limited_corpus, linear_schedule, rotate, sample_rotated
+from aliasfree import (FILL_MODES, band_limited_corpus, linear_schedule, resample, rotate,
+                       rotation, sample_rotated)
 from aliasfree.rng import Rng
 
 from _oracles import bilinear_rotate_loops
@@ -113,6 +114,23 @@ def test_small_angle_perturbs_little():
     out = rotate(img, 1e-3)
     rel = float(np.linalg.norm(out - img) / np.linalg.norm(img))
     assert rel <= 0.01
+
+
+@pytest.mark.parametrize("fill", FILL_MODES)
+def test_a_turn_in_bands_gives_the_one_band_bytes(monkeypatch, fill):
+    # a 12 x 10 plane is one band at the package's budget; bands of 1, 5 and 11 rows
+    # take the turn's other branch, which assembles the bands of its band form
+    img, stack, phi = rand_img(8, (3, 12, 10)), rand_img(9, (2, 1, 12, 10)), 0.4487989505
+    want = rotate(img, phi, fill), rotation._rotator((1, 12, 10), phi, fill)(stack)
+    assembled, assemble = [], rotation._assembled
+    monkeypatch.setattr(rotation, "_assembled", lambda shape, bands: (
+        assembled.append(shape) or assemble(shape, bands)))
+    for rows in (1, 5, 11):
+        monkeypatch.setattr(resample, "_BAND", rows * 10)
+        got = rotate(img, phi, fill), rotation._rotator((1, 12, 10), phi, fill)(stack)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], rows
+        assert got[1].shape == stack.shape
+    assert assembled == 3 * [(3, 12, 10), (2, 12, 10)]
 
 
 def test_validation():
