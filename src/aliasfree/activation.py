@@ -6,13 +6,14 @@ content back into the band as aliasing. The wrapped form evaluates the
 nonlinearity at doubled resolution between an alias-free upsample and an
 alias-free downsample, giving the created harmonics headroom before the
 low-pass filter removes them. The wrapped form checks its option, image
-and border once, up front. An image of more than 2^14 elements is then
-wrapped one band of output rows at a time, each band with the input rows
-its filters reach (`resample._slabs`), so the doubled grid is never held
-whole; the bytes are those of the whole image. `wrapped_activation`
-gathers the bands into one float output; the CLI's `activate` runs the
-same band form (`_wrapped_bands`, or `_pointwise_bands` unwrapped) and
-writes each band into its output payload.
+and border once, up front. It then runs in bands of output rows as
+`resample._spans` sizes them (rows of at most 2^14 elements of one plane,
+and at least 16r of them for a kernel of radius r), each band with the
+input rows its filters reach (`resample._slabs`), so the doubled grid of
+a large image is never held whole; the bytes do not depend on them. Both
+operators are their band forms (`_wrapped_bands`, `_pointwise_bands`):
+`wrapped_activation` and `apply_pointwise` assemble the bands into one
+float output, and the CLI's `activate` writes each into its payload.
 
 `gelu` takes its erf for |x| < 1.25 from a numpy port of glibc's fdlibm
 erf (`sysdeps/ieee754/dbl-64/s_erf.c`, Sun 1993), with its coefficients
@@ -29,8 +30,7 @@ import math
 import numpy as np
 
 from .filter_design import Kernel2D
-from .resample import (_assembled, _check_border, _filtered, _slabs, check_image,
-                       downsample2x_af)
+from .resample import _assembled, _check_border, _filtered, _slabs, check_image
 from .rng import _choice
 
 ACTIVATIONS = ("relu", "gelu")
@@ -140,8 +140,7 @@ def gelu(values) -> np.ndarray:
 
 def apply_pointwise(img, act: str) -> np.ndarray:
     """Apply a named nonlinearity elementwise to an image tensor."""
-    arr = check_image(img)
-    return relu(arr) if _choice(act, ACTIVATIONS, "activation") == "relu" else gelu(arr)
+    return _assembled(*_pointwise_bands(img, act))
 
 
 def _pointwise_bands(img, act: str):
@@ -151,15 +150,15 @@ def _pointwise_bands(img, act: str):
 
 
 def _wrapped(arr: np.ndarray, act: str, kernel: Kernel2D, padding: str) -> np.ndarray:
-    """Up, act in place, down: a whole image or one band's rows. The up step takes
-    `arr` as checked; the down step's check of the doubled grid rejects an overflow."""
+    """Up, act in place, down: one band's rows, its border checked for the whole image.
+    The down step's finiteness check of the doubled grid rejects an overflow."""
     up = _filtered(arr, kernel, padding, up=2)
     flat = up.reshape(-1)  # a view: the fresh upsample is C-contiguous
     if act == "relu":
         np.maximum(flat, 0.0, out=flat)
     else:
         _gelu_into(flat, flat)
-    return downsample2x_af(up, kernel, padding)
+    return _filtered(check_image(up), kernel, padding, down=2)
 
 
 def _wrapped_bands(img, act: str, kernel: Kernel2D, padding: str = "reflect"):
@@ -181,12 +180,13 @@ def wrapped_activation(img, act: str, kernel: Kernel2D,
     place on the fresh upsampled array.
 
     An image runs in bands of output rows as `resample._spans` sizes them:
-    about 2^14 output elements, but at least 16r rows for a kernel of radius
-    r, so a small image is one band. Output row n reads only input rows
-    n - r ... n + r, so a band runs the three steps on its rows and r more
-    on each side, clipped to the image, and keeps its own rows: the bytes
-    are the whole image's, and the recomputed rows add at most 1/8 to the
-    work. A slab has all W columns and at least min(H, r + 1) rows, so it
-    passes the reflect limit whenever the whole image does: no band fails.
+    rows of at most 2^14 elements of one plane, and at least 16r of them for
+    a kernel of radius r, so a small image is one band. Output row n reads
+    only input rows n - r ... n + r, so a band runs the three steps on its
+    rows and r more on each side, clipped to the image, and keeps its own
+    rows: the bytes are the whole image's, and the recomputed rows add at
+    most 1/8 to the work. A slab has all W columns and at least
+    min(H, r + 1) rows, so it passes the reflect limit whenever the whole
+    image does: no band fails.
     """
     return _assembled(*_wrapped_bands(img, act, kernel, padding))

@@ -9,8 +9,9 @@ in place in the one float buffer it makes, never in the caller's array.
 The one encoder takes the image one channel plane at a time, and each
 plane as bands of rows: it quantizes each band in place and casts it
 straight into a preallocated payload, one bytearray with the header.
-`write_raster` hands it one copied plane at a time; the CLI hands it its
-operators' bands, so only one band of output floats is held at a time.
+`write_raster` hands it one copied plane at a time; the CLI hands it the
+bands of its operators' band forms, the forms every whole-image operator
+assembles, so only one band of output floats is held at a time.
 """
 
 import numpy as np

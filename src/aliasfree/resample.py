@@ -23,12 +23,13 @@ taps that meet an input sample: (up, down) is (1, 1) for convolve2d,
 interpolates columns, then rows. The output bytes are those of filtering
 at full rate and of a two-dimensional gather.
 
-The raster commands run each operator through its band form, which checks
-the image as the operator does and then yields the output one band of rows
-at a time (`_slabs`): a filter or pooling runs on the input rows its band
-reads and keeps its own rows, and bilinear doubling slices its row plan.
-Every band form in the package spans its rows by one rule and budget, `_spans`:
-about 2^14 output elements a band. The bytes are the whole image's.
+Every operator is its band form: it checks the whole image once, then yields
+the output one band of rows at a time (`_slabs`), a filter or pooling run on
+the input rows its band reads, bilinear doubling on a slice of its row plan.
+The whole-image call assembles the bands (`_assembled`); the raster commands
+write each into their payload. One rule, `_spans`, sizes every band: rows of
+at most 2^14 elements of one output plane, and at least 16r of them for a
+kernel of radius r. The bytes do not depend on the bands.
 """
 
 from functools import partial
@@ -39,7 +40,7 @@ from .filter_design import Kernel2D
 from .rng import _choice, _whole
 
 PADDING_MODES = ("reflect", "zero")
-_BAND = 1 << 14  # output elements a band of a band form, across channels
+_BAND = 1 << 14  # elements of one output plane a band of a band form holds
 _HALO = 16  # least rows a band per kernel radius: a full band's halo adds <= 1/8, 1/4 at up = 2
 
 
@@ -85,8 +86,8 @@ def _check_border(arr, kernel: Kernel2D, padding: str, up: int = 1) -> None:
 
 def _filtered(arr, kernel: Kernel2D, padding: str, up: int = 1, down: int = 1) -> np.ndarray:
     """Filter each channel on its grid interleaved with up - 1 zeros, keep every
-    `down`-th row and column, and scale by up ** 2; one of up, down is 1."""
-    _check_border(arr, kernel, padding, up)
+    `down`-th row and column, and scale by up ** 2; one of up, down is 1. The band
+    forms check the whole image's border (`_check_border`) before their slabs."""
     (C, H, W), r = arr.shape, kernel.radius
     # Both border rules keep index parity on the interleaved grid: padded by r, its samples
     # are the input padded by r // up before and ceil(r / up) after. At up = 2 reflect turns
@@ -117,17 +118,17 @@ def _filtered(arr, kernel: Kernel2D, padding: str, up: int = 1, down: int = 1) -
 
 def convolve2d(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
     """Convolve each channel with `kernel` at unchanged resolution."""
-    return _filtered(check_image(img), kernel, padding)
+    return _assembled(*_af_bands(img, kernel, padding))
 
 
 def downsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
     """Low-pass filter, then keep even-index rows and columns."""
-    return _filtered(_require_even(check_image(img)), kernel, padding, down=2)
+    return _assembled(*_af_bands(img, kernel, padding, down=2))
 
 
 def upsample2x_af(img, kernel: Kernel2D, padding: str = "reflect") -> np.ndarray:
     """Zero-interleave to double resolution, filter, and multiply by 4."""
-    return _filtered(check_image(img), kernel, padding, up=2)
+    return _assembled(*_af_bands(img, kernel, padding, up=2))
 
 
 def _max_pool(arr: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ def _max_pool(arr: np.ndarray) -> np.ndarray:
 def downsample2x_naive(img) -> np.ndarray:
     """2x2 max pooling: each block's running maximum in row-major order. np.maximum
     keeps its later operand on a tie, so a +0/-0 tie keeps the sign numpy's reduce gives."""
-    return _max_pool(_require_even(check_image(img)))
+    return _assembled(*_max_pool_bands(img))
 
 
 def _linear_plan(src, n: int):
@@ -160,17 +161,6 @@ def _blend(w0, x0, w1, x1) -> np.ndarray:
     return x0
 
 
-def _doubling(img):
-    """img checked for bilinear doubling, and the linear plans of its doubled rows and
-    columns: output index u samples input coordinate u * (n - 1) / (2n - 1)."""
-    arr = check_image(img)
-    _, H, W = arr.shape
-    if H < 2 or W < 2:
-        raise ValueError(f"bilinear doubling needs H, W >= 2, got {H} x {W}")
-    # integer numerators keep the endpoint coordinates exact after division
-    return arr, *(_linear_plan(np.arange(2 * n) * (n - 1) / (2 * n - 1), n) for n in (H, W))
-
-
 def _bilinear(arr, rows, cols) -> np.ndarray:
     """Columns blended by the plan `cols` at arr's rows, then rows by `rows`: each
     output is the same blend of the same four samples as a two-dimensional gather."""
@@ -185,14 +175,14 @@ def upsample2x_naive(img) -> np.ndarray:
     Output index u samples input coordinate u * (H - 1) / (2H - 1), so the
     four image corners are reproduced exactly.
     """
-    return _bilinear(*_doubling(img))
+    return _assembled(*_bilinear_bands(img))
 
 
 def _spans(shape, r: int = 0) -> list:
     """(n0, n1) of each band of rows of a C x n x w output: at most `_BAND` elements
-    across the channels, but at least one row and 16r rows; the last may be shorter."""
-    C, n, w = shape
-    rows = max(1, _BAND // (C * w), _HALO * r)
+    of one plane, but at least one row and 16r rows; the last may be shorter."""
+    _, n, w = shape
+    rows = max(1, _BAND // w, _HALO * r)
     return [(n0, min(n0 + rows, n)) for n0 in range(0, n, rows)]
 
 
@@ -235,7 +225,8 @@ def _assembled(shape, bands) -> np.ndarray:
 
 
 def _af_bands(img, kernel: Kernel2D, padding: str = "reflect", up: int = 1, down: int = 1):
-    """The band form of downsample2x_af (down = 2) or upsample2x_af (up = 2)."""
+    """The band form of convolve2d, downsample2x_af (down = 2) or upsample2x_af (up = 2):
+    the image, its sides' parity and its border rule checked once, then `_slabs`."""
     arr = _require_even(check_image(img)) if down > 1 else check_image(img)
     _check_border(arr, kernel, padding, up)
     return _slabs(partial(_filtered, kernel=kernel, padding=padding, up=up, down=down),
@@ -248,10 +239,16 @@ def _max_pool_bands(img):
 
 
 def _bilinear_bands(img):
-    """The band form of upsample2x_naive: a band slices the row plan to its rows and
-    blends the columns of only the input rows that slice reads."""
-    arr, rows, cols = _doubling(img)
-    shape = len(arr), len(rows[0]), len(cols[0])  # the plans span the doubled sides
+    """The band form of upsample2x_naive: output index u samples input coordinate
+    u * (n - 1) / (2n - 1); a band slices the row plan to its rows and blends the
+    columns of only the input rows that slice reads."""
+    arr = check_image(img)
+    C, H, W = arr.shape
+    if H < 2 or W < 2:
+        raise ValueError(f"bilinear doubling needs H, W >= 2, got {H} x {W}")
+    # integer numerators keep the endpoint coordinates exact after division
+    rows, cols = (_linear_plan(np.arange(2 * n) * (n - 1) / (2 * n - 1), n) for n in (H, W))
+    shape = C, 2 * H, 2 * W
 
     def bands():
         for n0, n1 in _spans(shape):

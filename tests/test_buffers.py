@@ -15,13 +15,14 @@ import hashlib
 import math
 import platform
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
-from aliasfree import (FilterSpec, activation, apply_pointwise, byte_to_float, design_kernel,
-                       downsample2x_af, downsample2x_naive, float_to_byte, gelu, image_io,
-                       read_raster, relu, resample, rotate, upsample2x_af,
+from aliasfree import (FilterSpec, activation, apply_pointwise, byte_to_float, convolve2d,
+                       design_kernel, downsample2x_af, downsample2x_naive, float_to_byte, gelu,
+                       image_io, read_raster, relu, resample, rotate, upsample2x_af,
                        upsample2x_naive, wrapped_activation, write_raster)
 
 from aliasfree.cli import main
@@ -305,16 +306,57 @@ def test_wrapped_nonlinearity_equals_pointwise_on_the_upsample_bitwise(noncontig
             assert wrapped_activation(x, act, K1N, padding).tobytes() == want.tobytes()
 
 
+# each library operator of the six that assemble a band form, as a call of one image
+LIBRARY_BANDS = {
+    **{f"{call.__name__} {kernel.size}x{kernel.size} {padding}":
+       partial(call, kernel=kernel, padding=padding)
+       for call in (convolve2d, downsample2x_af, upsample2x_af)
+       for kernel in (K1, K1N, K9) for padding in ("reflect", "zero")},
+    "downsample2x_naive": downsample2x_naive,
+    "upsample2x_naive": upsample2x_naive,
+    "apply_pointwise relu": partial(apply_pointwise, act="relu"),
+    "apply_pointwise gelu": partial(apply_pointwise, act="gelu"),
+}
+
+
+@pytest.mark.parametrize("noncontiguous", (False, True), ids=("contiguous", "strided"))
+@pytest.mark.parametrize("name", LIBRARY_BANDS)
+def test_library_operators_in_bands_give_the_one_band_bytes(monkeypatch, name, noncontiguous):
+    call, x = LIBRARY_BANDS[name], edge_input(noncontiguous)
+    want = call(x)  # one band: 2^14 elements of a plane exceed every output here
+    _, n, w = want.shape
+    spans, rule = [], resample._spans
+
+    def spy(*args):
+        spans.append(len(rule(*args)))
+        return rule(*args)
+    monkeypatch.setattr(resample, "_spans", spy)
+    monkeypatch.setattr(resample, "_HALO", 0)  # bands of any height
+    # bands of one row, of 5 rows (which divide no output height here) and of all
+    # rows but one, in elements of one output plane
+    for rows in (1, 5, n - 1):
+        monkeypatch.setattr(resample, "_BAND", rows * w)
+        spans.clear()
+        got = call(x)
+        assert spans == [-(-n // rows)] and spans[0] > 1, rows
+        assert got.tobytes() == want.tobytes(), rows
+
+
 def _wrapped_whole(x, act, kernel, padding="reflect"):
     return downsample2x_af(apply_pointwise(upsample2x_af(x, kernel, padding), act),
                            kernel, padding)
 
 
 def _spy_bands(monkeypatch):
-    """Record the rows of each slab the wrapped nonlinearity upsamples, one per band."""
+    """Record the rows of each slab the wrapped nonlinearity upsamples, one per band;
+    its down step calls the engine too, with up = 1."""
     bands, filtered = [], activation._filtered
-    monkeypatch.setattr(activation, "_filtered", lambda x, *args, **kwargs: (
-        bands.append(x.shape[1]) or filtered(x, *args, **kwargs)))
+
+    def spy(x, *args, up=1, **kwargs):
+        if up == 2:
+            bands.append(x.shape[1])
+        return filtered(x, *args, up=up, **kwargs)
+    monkeypatch.setattr(activation, "_filtered", spy)
     return bands
 
 
@@ -327,28 +369,30 @@ def test_banded_wrapped_nonlinearity_equals_the_whole_image_bitwise(
     # 3 x 12 x 10, and a 1 x 12 x 2 strip, whose reflect limit for upsampling is size 9
     for x in (edge_input(noncontiguous), edge_input(noncontiguous)[1:2, :, 3:5]):
         C, H, W = x.shape
-        # 1 element is still one row a band, one element short of 6 rows is 5;
-        # 5 and 11 rows do not divide 12
-        for band, rows in ((1, 1), (C * W, 1), (6 * C * W - 1, 5), ((H - 1) * C * W, H - 1)):
+        wants = {(act, padding): _wrapped_whole(x, act, kernel, padding).tobytes()
+                 for act in ("relu", "gelu") for padding in ("reflect", "zero")}
+        # budgets in elements of one plane: 1 element is still one row a band, one
+        # element short of 6 rows is 5; 5 and 11 rows do not divide 12
+        for band, rows in ((1, 1), (W, 1), (6 * W - 1, 5), ((H - 1) * W, H - 1)):
             monkeypatch.setattr(resample, "_BAND", band)
-            for act in ("relu", "gelu"):
-                for padding in ("reflect", "zero"):
-                    bands.clear()
-                    got = wrapped_activation(x, act, kernel, padding)
-                    assert len(bands) == -(-H // rows)
-                    assert got.tobytes() == _wrapped_whole(x, act, kernel, padding).tobytes()
+            for (act, padding), want in wants.items():
+                bands.clear()
+                got = wrapped_activation(x, act, kernel, padding)
+                assert len(bands) == -(-H // rows)
+                assert got.tobytes() == want
 
 
 @pytest.mark.parametrize("kernel", (K1N, K9), ids=("3x3", "9x9"))
 def test_a_band_is_at_least_sixteen_kernel_radii_tall(monkeypatch, kernel):
     bands = _spy_bands(monkeypatch)
-    monkeypatch.setattr(resample, "_BAND", 10)  # one row of the 1 x 200 x 10 input
     x = np.random.default_rng(5).uniform(-1.2, 1.2, (1, 200, 10))
+    want = _wrapped_whole(x, "gelu", kernel)
+    monkeypatch.setattr(resample, "_BAND", 10)  # one row of the 1 x 200 x 10 input
     rows = 16 * kernel.radius
     got = wrapped_activation(x, "gelu", kernel)
     # each band's slab is its rows and up to r more on each side
     assert len(bands) == -(-200 // rows) and max(bands) == rows + 2 * kernel.radius
-    assert got.tobytes() == _wrapped_whole(x, "gelu", kernel).tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_banding_keeps_the_whole_images_errors_and_their_order(monkeypatch):

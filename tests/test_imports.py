@@ -184,9 +184,9 @@ def test_the_option_rule_is_written_once():
 
 def test_the_reflect_limit_is_written_once():
     """resample._check_border is the one place that compares a kernel with
-    min(H, W); _filtered calls it per call, and the band forms of the
-    alias-free resamplers and of wrapped_activation once for the whole
-    image, before their bands."""
+    min(H, W); the band forms of the filters and of wrapped_activation call it
+    once for the whole image, before their bands, and the engine, _filtered,
+    never does."""
     trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     mins = [(name, node) for name, tree in trees.items() for node in _calls(tree, "min")
             if [getattr(arg, "id", None) for arg in node.args] == ["H", "W"]]
@@ -194,10 +194,38 @@ def test_the_reflect_limit_is_written_once():
                   if getattr(node, "name", None) == "_check_border")
     assert [name for name, _ in mins] == ["resample.py"]
     assert mins[0][1] in set(ast.walk(border))
-    for module, name in (("resample.py", "_filtered"), ("resample.py", "_af_bands"),
-                         ("activation.py", "_wrapped_bands")):
+    for module, name, count in (("resample.py", "_filtered", 0), ("resample.py", "_af_bands", 1),
+                                ("activation.py", "_wrapped_bands", 1)):
         scope = next(node for node in trees[module].body if getattr(node, "name", None) == name)
-        assert len(_calls(scope, "_check_border")) == 1, name
+        assert len(_calls(scope, "_check_border")) == count, name
+
+
+# each whole-image operator and the band form whose bands it assembles
+BAND_FORMS = {"resample.py": {"convolve2d": "_af_bands", "downsample2x_af": "_af_bands",
+                              "upsample2x_af": "_af_bands", "downsample2x_naive": "_max_pool_bands",
+                              "upsample2x_naive": "_bilinear_bands"},
+              "activation.py": {"apply_pointwise": "_pointwise_bands",
+                                "wrapped_activation": "_wrapped_bands"}}
+
+
+def test_every_operator_is_its_band_form():
+    """Library and CLI run one code path: each whole-image operator's body is
+    one `_assembled(*form(...))` of its band form, with no check or arithmetic
+    of its own, and bilinear doubling keeps no checker apart from its form."""
+    for module, forms in BAND_FORMS.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert "_doubling" not in defs
+        for name, form in forms.items():
+            body = [node for node in defs[name].body
+                    if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+            assert len(body) == 1 and isinstance(body[0], ast.Return), name
+            call = body[0].value
+            assert isinstance(call, ast.Call) and call.func.id == "_assembled", name
+            [arg] = call.args
+            assert isinstance(arg, ast.Starred) and arg.value.func.id == form, name
+            for engine in ("_filtered", "_max_pool", "_bilinear"):
+                assert not _calls(defs[name], engine), (name, engine)
 
 
 def test_the_band_budget_and_the_row_rule_are_written_once():
