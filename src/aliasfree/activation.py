@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .filter_design import Kernel2D
-from .resample import _assembled, _check_border, _filtered, _slabs, check_image
+from .resample import _assembled, _check_border, _check_finite, _filtered, _slabs, check_image
 from .rng import _choice
 
 ACTIVATIONS = ("relu", "gelu")
@@ -158,7 +158,7 @@ def _wrapped(arr: np.ndarray, act: str, kernel: Kernel2D, padding: str) -> np.nd
         np.maximum(flat, 0.0, out=flat)
     else:
         _gelu_into(flat, flat)
-    return _filtered(check_image(up), kernel, padding, down=2)
+    return _filtered(_check_finite(up), kernel, padding, down=2)
 
 
 def _wrapped_bands(img, act: str, kernel: Kernel2D, padding: str = "reflect"):

@@ -178,10 +178,10 @@ def upsample2x_naive(img) -> np.ndarray:
     return _assembled(*_bilinear_bands(img))
 
 
-def _spans(shape, r: int = 0) -> list:
-    """(n0, n1) of each band of rows of a C x n x w output: at most `_BAND` elements
-    of one plane, but at least one row and 16r rows; the last may be shorter."""
-    _, n, w = shape
+def _spans(n: int, w: int, r: int = 0) -> list:
+    """(n0, n1) of each band of rows of an output plane n x w: at most `_BAND` elements,
+    but at least one row and 16r rows; the last may be shorter. A band spans every
+    channel, so it holds C times as many elements of a C-channel output."""
     rows = max(1, _BAND // w, _HALO * r)
     return [(n0, min(n0 + rows, n)) for n0 in range(0, n, rows)]
 
@@ -202,7 +202,7 @@ def _slabs(op, arr: np.ndarray, r: int = 0, up: int = 1, down: int = 1):
     shape, halo = (C, H * up // down, W * up // down), -(-r // up)
 
     def bands():
-        for n0, n1 in _spans(shape, r):
+        for n0, n1 in _spans(*shape[1:], r):
             s0 = max(n0 * down // up - halo, 0) // down * down
             s1 = min(-(-n1 * down // up) + halo, H)
             s1 += s1 % down  # H is a multiple of down, so an end below H may grow by one
@@ -251,7 +251,7 @@ def _bilinear_bands(img):
     shape = C, 2 * H, 2 * W
 
     def bands():
-        for n0, n1 in _spans(shape):
+        for n0, n1 in _spans(*shape[1:]):
             r0, r1, w0, w1 = (p[n0:n1] for p in rows)
             lo = r0[0]  # both neighbours grow with the output row
             yield n0, n1, _bilinear(arr[:, lo:r1[-1] + 1], (r0 - lo, r1 - lo, w0, w1), cols)

@@ -49,7 +49,7 @@ def _rotator(shape, phi, fill: str):
     of about 2^14 output pixels at a time, inside the turn; a plane of one band
     has its plan built here, once. turn.bands(arr) is the turn's band form, as
     `resample._slabs` gives one: the stack's shape and its bands of rows."""
-    _, H, W = sides = _image_shape(shape)
+    _, H, W = _image_shape(shape)
     phi = _finite(phi, "phi")
     _choice(fill, FILL_MODES, "fill mode")
 
@@ -69,7 +69,7 @@ def _rotator(shape, phi, fill: str):
             inside = (src_r >= 0.0) & (src_r <= H - 1) & (src_c >= 0.0) & (src_c <= W - 1)
         return (r0 * W + c0, r0 * W + c1, r1 * W + c0, r1 * W + c1), (wr0, wr1, wc0, wc1), inside
 
-    spans = _spans(sides)  # one plane's plan, shared by every plane of a stack
+    spans = _spans(H, W)  # one plane's plan, shared by every plane of a stack
     whole = plan(0, H) if len(spans) == 1 else None
 
     def bands(arr):

@@ -69,8 +69,8 @@ def test_every_private_helper_is_used(path):
 
 # The private names each module may import from the rest of the package;
 # the draw layout (Box-Muller pairs, step words, blocks) stays inside rng.
-PRIVATE_IMPORTS = {"activation.py": {"_assembled", "_check_border", "_choice", "_filtered",
-                                      "_slabs"},
+PRIVATE_IMPORTS = {"activation.py": {"_assembled", "_check_border", "_check_finite", "_choice",
+                                      "_filtered", "_slabs"},
                    "cli.py": {"_choice", "_encoded", "_image_shape", "_number", "_pixels",
                               "_rotator", "_whole"},
                    "diffusion.py": {"_choice", "_finite", "_whole", "_rotator", "_image_shape"},
